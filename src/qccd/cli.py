@@ -11,9 +11,10 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 
 from . import construct, cyclic, io, qc
-from .errors import QccdError, TooLargeToEnumerate
+from .errors import InvalidParameter, QccdError, TooLargeToEnumerate
 from .field import field_from_order
 from .lincode import LinearCode
 from .polyring import factor_xm_minus_1
@@ -262,6 +263,7 @@ def cmd_descend(args) -> int:
     with open(args.infile) as fh:
         C = io.parse_code(fh.read())
     Q = C.field.order
+    field_from_order(args.q)  # a field order, so the loop below ends
     ell = 0
     qq = 1
     while qq < Q:
@@ -326,7 +328,9 @@ def cmd_table_repro(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The qccd argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qccd",
         description="construction and certification of complementary-dual "
@@ -380,13 +384,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_positive(args) -> None:
+    for name in ("m", "ell", "workers"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise InvalidParameter(f"--{name} must be at least 1, got {value}")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:
+        _check_positive(args)
         return args.func(args)
     except (QccdError, OSError, ValueError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}))

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     BasisFieldMismatch,
@@ -22,7 +21,7 @@ from .errors import (
     TooLargeToEnumerate,
 )
 from .field import FieldElement, FiniteField, make_field
-from .lincode import LinearCode, _popcount
+from .lincode import LinearCode, _span_weights_gf2
 from .polyring import Poly, poly_gcd, xm_minus_one
 from .qc import QcCode
 
@@ -147,10 +146,7 @@ def _dc_distance_gf2(a: int, m: int) -> int:
     for i in range(m):
         cyc = ((a << i) | (a >> (m - i))) & ((1 << m) - 1)
         rows.append((1 << i) | (cyc << m))
-    arr = np.zeros(1, dtype=np.int64)
-    for w in rows:
-        arr = np.concatenate([arr, np.bitwise_xor(arr, np.int64(w))])
-    weights = _popcount(arr)
+    weights = _span_weights_gf2(rows)
     weights[0] = 2 * m + 1
     return int(weights.min())
 
@@ -183,6 +179,14 @@ def _merge_reports(parts):
     return count, best_d, best_serial
 
 
+def _clamp_workers(workers: int, chunks: int) -> int:
+    """Worker processes worth starting: at most one per chunk of work and
+    one per CPU."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return max(1, min(workers, os.cpu_count() or 1, chunks))
+
+
 def _random_serials(seed: int, trials: int, space: int):
     for i in range(trials):
         digest = hashlib.blake2b(f"{seed}:{i}".encode(), digest_size=8).digest()
@@ -199,13 +203,17 @@ def dc_search(
 ) -> DcSearchReport:
     """Best minimum distance over LCD double circulant codes <(1, a(x))>.
 
-    Ties break toward the smallest serialized a; the report is identical
-    for any worker count.
+    Exhaustive mode, and random mode over GF(2), break ties toward the
+    smallest serialized a.  Random mode with q > 2 keeps the first tie in
+    trial order.  In random mode ``lcd_count`` counts trials, so a serial
+    drawn twice is counted twice.  The report is identical for any worker
+    count; ``workers`` is clamped to the CPUs and the chunks of work.
     """
     if math.gcd(m, base.p) != 1:
         raise NotCoprime(f"characteristic {base.p} divides m={m}")
     q = base.order
     space = q**m
+    workers = _clamp_workers(workers, space)
     if mode == "exhaustive":
         if space > SEARCH_CAP:
             raise TooLargeToEnumerate(f"{q}^{m} candidates exceed the search cap")

@@ -5,6 +5,10 @@ class QccdError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidParameter(QccdError):
+    """A length, index or worker count below its allowed range."""
+
+
 # field
 class NonPrimeCharacteristic(QccdError):
     pass

@@ -470,6 +470,8 @@ def make_field(p: int, k: int) -> FiniteField:
 
 def field_from_order(q: int) -> FiniteField:
     """GF(q) for a prime power q."""
+    if q > MAX_FIELD_ORDER:
+        raise FieldTooLarge(f"GF({q}) exceeds the {MAX_FIELD_ORDER} element cap")
     facs = _prime_factors(q)
     if len(facs) != 1:
         raise NonPrimeCharacteristic(f"{q} is not a prime power")

@@ -85,6 +85,8 @@ def parse_qc(text: str) -> QcCode:
         q, m, ell, r = (int(x) for x in head)
     except ValueError as e:
         raise ParseError(f"bad header {lines[0]!r}") from e
+    if m < 1 or ell < 1:
+        raise ParseError(f"m and ell must be at least 1 in header {lines[0]!r}")
     if len(lines) != 1 + r:
         raise ParseError(f"expected {r} generator lines, got {len(lines) - 1}")
     field = field_from_order(q)

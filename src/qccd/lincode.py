@@ -4,11 +4,15 @@ Generator matrices are kept in canonical reduced row-echelon form, so code
 equality is a plain matrix comparison.  Minimum distance is exact: direct
 codeword enumeration from the smaller of the message/parity sides, with the
 dual side converted through the weight-enumerator transform.
+
+Enumeration is projective: scalar multiples of a codeword share its
+weight, so one codeword per class of nonzero scalar multiples is visited
+and counted |scalars| - 1 times, which divides the work by q - 1 (or by
+|S| - 1 for spans over a subfield S).  Each row adds its scalar multiples
+to the span built so far in one broadcast vector add.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from math import comb
 
 import numpy as np
@@ -253,9 +257,43 @@ def _vadd(field: FiniteField, A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _span_weights_gf2(masks) -> np.ndarray:
+    """Popcounts of all 2^k XOR combinations of the bit masks, one per
+    coefficient vector (the empty combination first)."""
+    arr = np.zeros(1, dtype=np.int64)
+    for w in masks:
+        arr = np.concatenate([arr, np.bitwise_xor(arr, np.int64(w))])
+    return _popcount(arr)
+
+
+def _check_scalars(field: FiniteField, scalars) -> list[int]:
+    """Sorted scalar set; it must be the S roots of x^S - x in the field,
+    so its nonzero elements form a multiplicative group."""
+    T = sorted(scalars)
+    S = len(T)
+    if (
+        S == 0
+        or len(set(T)) != S
+        or any(not 0 <= z < field.order or field.pow_raw(z, S) != z for z in T)
+    ):
+        raise ValueError(f"scalars are not the {S} roots of x^{S} - x in {field}")
+    return T
+
+
+def _weight_counts(W: np.ndarray, n: int) -> np.ndarray:
+    return np.bincount(np.count_nonzero(W, axis=1), minlength=n + 1)
+
+
 def weight_distribution(field: FiniteField, rows, n: int, scalars=None) -> np.ndarray:
     """Hamming weight distribution of the span of rows under the given
-    scalar set (default: the whole field).  Exact integer counts."""
+    scalar set (default: the whole field).  Exact integer counts, one per
+    coefficient vector, so dependent and zero rows count with multiplicity.
+
+    The nonzero scalars form a multiplicative group T*, and lambda*c has the
+    weight of c.  A nonzero coefficient vector with first nonzero entry at
+    row i is lambda*(rows[i] + span_T(rows[i+1:])) for one lambda in T*, so
+    each of those words is enumerated once and counted |T| - 1 times.
+    """
     rows = [list(r) for r in rows]
     k = len(rows)
     dist = np.zeros(n + 1, dtype=np.int64)
@@ -264,47 +302,52 @@ def weight_distribution(field: FiniteField, rows, n: int, scalars=None) -> np.nd
         return dist
     if scalars is None:
         scalars = list(range(field.order))
-    scalars = sorted(scalars)
-    assert scalars[0] == 0
+    else:
+        scalars = _check_scalars(field, scalars)
     S = len(scalars)
     if S**k > ENUM_CAP:
         raise TooLargeToEnumerate(f"{S}^{k} codewords exceed the enumeration cap")
 
     if field.order == 2 and scalars == [0, 1] and n <= 62:
         packed = [sum(1 << j for j, x in enumerate(r) if x) for r in rows]
-        arr = np.zeros(1, dtype=np.int64)
-        for w in packed:
-            arr = np.concatenate([arr, np.bitwise_xor(arr, np.int64(w))])
-        weights = _popcount(arr)
-        return np.bincount(weights, minlength=n + 1).astype(np.int64)
+        return np.bincount(_span_weights_gf2(packed), minlength=n + 1).astype(np.int64)
 
-    # scalar multiples of each row, precomputed
-    mults = []
-    for r in rows:
-        mults.append(
-            [np.array([field.mul_raw(s, x) for x in r], dtype=np.int64) for s in scalars]
-        )
+    # scalar multiples of every row, mults[:, i] an (S, n) array, from one
+    # product table over the distinct entries
+    R = np.array(rows, dtype=np.int64)
+    entries, where = np.unique(R, return_inverse=True)
+    table = np.array([[field.mul_raw(s, x) for x in entries.tolist()] for s in scalars],
+                     dtype=np.int64)
+    mults = table[:, where.reshape(R.shape)]
 
-    # split rows: first j rows enumerated inside one array, rest looped
+    def spanned(i, span):
+        # span_T(rows[i:]) from span_T(rows[i+1:]): one broadcast add
+        return _vadd(field, mults[:, i, None, :], span[None, :, :]).reshape(-1, n)
+
+    # the last j rows are spanned inside one array (the base); each row
+    # before them leads a set of offsets, each added to the whole base
     j = 0
     while j < k and S ** (j + 1) <= _CHUNK:
         j += 1
+    split = k - j
     base = np.zeros((1, n), dtype=np.int64)
-    for i in range(j):
-        base = np.concatenate([_vadd(field, base, m) for m in mults[i]])
+    for i in range(k - 1, split - 1, -1):
+        dist += _weight_counts(_vadd(field, base, R[i]), n)
+        if i:
+            base = spanned(i, base)
 
-    rest = mults[j:]
-    if not rest:
-        weights = np.count_nonzero(base, axis=1)
-        return np.bincount(weights, minlength=n + 1).astype(np.int64)
+    span = np.zeros((1, n), dtype=np.int64)
+    block = max(1, _CHUNK // len(base))
+    for i in range(split - 1, -1, -1):
+        offsets = _vadd(field, span, R[i])
+        for b in range(0, len(offsets), block):
+            W = _vadd(field, offsets[b:b + block, None, :], base[None, :, :])
+            dist += _weight_counts(W.reshape(-1, n), n)
+        if i:
+            span = spanned(i, span)
 
-    for combo in itertools.product(range(S), repeat=len(rest)):
-        offset = np.zeros(n, dtype=np.int64)
-        for m, ci in zip(rest, combo):
-            offset = _vadd(field, offset, m[ci])
-        W = _vadd(field, base, offset)
-        weights = np.count_nonzero(W, axis=1)
-        dist += np.bincount(weights, minlength=n + 1).astype(np.int64)
+    dist *= S - 1
+    dist[0] += 1
     return dist
 
 

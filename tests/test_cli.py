@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -164,6 +167,15 @@ def test_descend_bad_subfield(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("q", ["0", "1", "6"])
+def test_descend_subfield_must_be_a_field_order(tmp_path, capsys, q):
+    f = tmp_path / "code.txt"
+    f.write_text("4 3 1\n1 0 2\n")
+    code, payload = run_json(capsys, "descend", "--in", str(f), "--q", q)
+    assert code == 2
+    assert payload["error"] == "NonPrimeCharacteristic"
+
+
 def test_table_repro_json(capsys):
     code, payload = run_json(
         capsys, "table-repro", "--m-max", "9", "--format", "json"
@@ -186,3 +198,61 @@ def test_unknown_command(capsys):
 
 def test_missing_required_flag(capsys):
     assert main(["factor", "--q", "2"]) == 2
+
+
+def _fresh_process(*argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qccd.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, json.loads(proc.stdout)
+
+
+def test_parser_reused_across_subcommands(capsys):
+    from qccd.cli import build_parser
+
+    assert build_parser() is build_parser()
+    requests = [
+        ("cyclic-check", "--q", "4", "--ell", "15", "--g", "1,2,2,2,1"),
+        ("factor", "--q", "2", "--m", "7"),
+        ("dc-search", "--q", "3", "--m", "4", "--exhaustive"),
+    ]
+    for argv in requests:
+        code, got = run_json(capsys, *argv)
+        fresh_code, fresh = _fresh_process(*argv)
+        got.pop("time"), fresh.pop("time")
+        assert (code, got) == (fresh_code, fresh)
+
+
+def test_field_order_cap_in_cli(capsys):
+    code, payload = run_json(capsys, "factor", "--q", str(2**89 - 1), "--m", "3")
+    assert code == 2
+    assert payload["error"] == "FieldTooLarge"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cyclic-check", "--q", "2", "--ell", "0", "--g", "1"),
+        ("cyclic-check", "--q", "2", "--ell", "-1", "--g", "1"),
+        ("factor", "--q", "2", "--m", "0"),
+        ("dc-search", "--q", "2", "--m", "-1", "--exhaustive"),
+        ("dc-search", "--q", "2", "--m", "5", "--exhaustive", "--workers", "0"),
+        ("table-repro", "--m-max", "5", "--workers", "-2"),
+    ],
+)
+def test_nonpositive_lengths_and_workers_rejected(capsys, argv):
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload["error"] == "InvalidParameter"
+
+
+@pytest.mark.parametrize("header", ["2 0 2 1", "2 -1 2 1", "2 3 0 0", "2 3 -2 0"])
+def test_qc_header_lengths_rejected(tmp_path, capsys, header):
+    f = tmp_path / "bad.qc"
+    f.write_text(header + "\n1|1\n")
+    code, payload = run_json(capsys, "qc-check", "--in", str(f))
+    assert code == 2
+    assert payload["error"] == "ParseError"

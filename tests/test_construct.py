@@ -205,6 +205,41 @@ def test_dc_search_generic_field():
     assert (r.best_distance, r.lcd_count) == (best, count)
 
 
+def test_clamp_workers(monkeypatch):
+    monkeypatch.setattr(cc.os, "cpu_count", lambda: 4)
+    assert cc._clamp_workers(10**9, 2**20) == 4
+    assert cc._clamp_workers(3, 2) == 2
+    assert cc._clamp_workers(1, 100) == 1
+    monkeypatch.setattr(cc.os, "cpu_count", lambda: None)
+    assert cc._clamp_workers(8, 100) == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            cc._clamp_workers(bad, 100)
+    with pytest.raises(ValueError):
+        dc_search(F3, 4, workers=0)
+
+
+def test_dc_search_random_mode_ties_and_repeats():
+    # random mode over q > 2 keeps the first tie in trial order: serial
+    # 4770 (trial 10) wins although 926 (trial 98) also reaches d = 6
+    r = dc_search(F3, 8, mode="random", seed=1, trials=100)
+    assert (r.best_serial, r.best_distance) == (4770, 6)
+    serials = list(cc._random_serials(1, 100, 3**8))
+    assert serials.index(4770) < serials.index(926)
+    a = Poly(F3, cc._serial_to_coeffs(926, 3, 8))
+    assert dc_is_lcd(F3, 8, a)
+    assert double_circulant(F3, 8, a).expand().min_distance() == 6
+    # lcd_count counts trials, so repeated serials count more than once
+    F4 = make_field(2, 2)
+    r = dc_search(F4, 7, mode="random", seed=3, trials=120)
+    lcd = [
+        s for s in cc._random_serials(3, 120, 4**7)
+        if dc_is_lcd(F4, 7, Poly(F4, cc._serial_to_coeffs(s, 4, 7)))
+    ]
+    assert r.lcd_count == len(lcd) == 94
+    assert len(set(lcd)) == 92
+
+
 def test_dc_search_cap():
     with pytest.raises(TooLargeToEnumerate):
         dc_search(F3, 19)

@@ -43,6 +43,8 @@ def test_bad_parameters():
         make_field(1, 3)
     with pytest.raises(FieldTooLarge):
         make_field(2, 21)
+    with pytest.raises(FieldTooLarge):  # before hours of trial division
+        field_from_order(2**89 - 1)
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4, F8, F9])

@@ -142,15 +142,16 @@ def test_systematic_form():
 # weight distributions and distances
 # ---------------------------------------------------------------------------
 
-def brute_weights(field, C):
-    """Reference weight distribution by plain iteration (no numpy)."""
+def brute_weights(field, rows, n, scalars=None):
+    """Reference weight distribution by plain iteration (no numpy): one
+    weight per coefficient vector over scalars (default: the whole field)."""
     import itertools
 
-    n = C.n
+    scalars = range(field.order) if scalars is None else scalars
     dist = [0] * (n + 1)
-    for msg in itertools.product(range(field.order), repeat=C.k):
+    for msg in itertools.product(scalars, repeat=len(rows)):
         word = [0] * n
-        for s, row in zip(msg, C.rows):
+        for s, row in zip(msg, rows):
             word = [field.add_raw(x, field.mul_raw(s, y)) for x, y in zip(word, row)]
         dist[sum(1 for x in word if x)] += 1
     return dist
@@ -162,7 +163,7 @@ def test_weight_distribution_matches_bruteforce(field, n):
     for _ in range(5):
         C = random_code(rng, field, n, 3)
         got = weight_distribution(field, C.rows, n)
-        assert list(got) == brute_weights(field, C)
+        assert list(got) == brute_weights(field, C.rows, n)
 
 
 def test_gf2_packed_path_agrees():
@@ -170,7 +171,7 @@ def test_gf2_packed_path_agrees():
     rows = [[rng.randrange(2) for _ in range(20)] for _ in range(6)]
     C = LinearCode.from_rows(F2, 20, rows)
     got = weight_distribution(F2, C.rows, 20)
-    assert list(got) == brute_weights(F2, C)
+    assert list(got) == brute_weights(F2, C.rows, 20)
     assert int(got.sum()) == 2**C.k
 
 
@@ -241,3 +242,98 @@ def test_krawtchouk_row_sums():
     for q in (2, 3, 4):
         for j in range(5):
             assert lc._krawtchouk(j, 0, 8, q) == (q - 1) ** j * comb(8, j)
+
+
+# ---------------------------------------------------------------------------
+# projective enumeration against a pure-Python oracle
+# ---------------------------------------------------------------------------
+
+F5 = make_field(5, 1)
+F7 = make_field(7, 1)
+F9 = make_field(3, 2)
+F16 = make_field(2, 4)
+F729 = make_field(3, 6)
+
+
+def roots_of(field, order):
+    """The roots of x^order - x in the field."""
+    return tuple(z for z in range(field.order) if field.pow_raw(z, order) == z)
+
+
+def raw_rows(rng, field, n, k):
+    """k rows, not reduced: one is zero and one is a multiple of another."""
+    rows = [[rng.randrange(field.order) for _ in range(n)] for _ in range(k)]
+    if k >= 2:
+        rows[rng.randrange(k)] = [0] * n
+    if k >= 3:
+        s = rng.randrange(1, field.order)
+        rows[-1] = [field.mul_raw(s, x) for x in rows[0]]
+    return rows
+
+
+SCALAR_GRID = [
+    (F2, None, 5),
+    (F3, None, 5),
+    (F4, None, 4),
+    (F5, None, 3),
+    (F9, None, 3),
+    (F16, roots_of(F16, 4), 4),       # GF(4) inside GF(16)
+    (F729, roots_of(F729, 3), 5),     # GF(3) inside GF(3^6)
+    (F729, roots_of(F729, 9), 3),     # GF(9) inside GF(3^6)
+    (F5, (0, 1, 4), 5),               # {0, +-1}: a group, not a subfield
+    (F7, (0, 1, 6), 4),
+]
+
+
+@pytest.mark.parametrize("chunk", [lc._CHUNK, 4])
+@pytest.mark.parametrize("field,scalars,kmax", SCALAR_GRID)
+def test_projective_enumeration_matches_bruteforce(field, scalars, kmax, chunk, monkeypatch):
+    # a small chunk forces the offsets-times-base path at every size
+    monkeypatch.setattr(lc, "_CHUNK", chunk)
+    rng = random.Random(field.order * 31 + kmax)
+    for k in range(1, kmax + 1):
+        n = rng.randrange(1, 7)
+        rows = raw_rows(rng, field, n, k)
+        got = weight_distribution(field, rows, n, scalars)
+        assert list(got) == brute_weights(field, rows, n, scalars)
+
+
+def test_generic_gf2_path_matches_bruteforce():
+    # longer than a packed word, so GF(2) takes the generic path
+    rng = random.Random(2)
+    rows = raw_rows(rng, F2, 70, 5)
+    got = weight_distribution(F2, rows, 70)
+    assert list(got) == brute_weights(F2, rows, 70)
+
+
+@pytest.mark.parametrize(
+    "field,scalars",
+    [
+        (F4, (0, 1, 1)),      # repeated scalar
+        (F4, (0, 1, 2)),      # 2^3 != 2 in GF(4)
+        (F4, (1, 2, 3)),      # zero missing
+        (F4, (0, 4)),         # not a field element
+        (F5, (0, 1, 2)),
+        (F3, ()),
+    ],
+)
+def test_scalar_set_must_be_roots_of_x_s_minus_x(field, scalars):
+    with pytest.raises(ValueError):
+        weight_distribution(field, [[1, 1]], 2, scalars)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([F2, F3, F4, F5]),
+    st.integers(1, 7),
+    st.integers(0, 2**32 - 1),
+)
+def test_macwilliams_identity(field, n, seed):
+    # |C| * B_j = sum_i A_i K_j(i) with A, B the distributions of C, C-dual
+    rng = random.Random(seed)
+    C = random_code(rng, field, n, rng.randrange(0, n + 1))
+    A = [int(x) for x in weight_distribution(field, C.rows, n)]
+    B = [int(x) for x in weight_distribution(field, C.dual().rows, n)]
+    q = field.order
+    for j in range(n + 1):
+        assert sum(a * lc._krawtchouk(j, i, n, q) for i, a in enumerate(A)) == q**C.k * B[j]
