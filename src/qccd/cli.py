@@ -299,6 +299,8 @@ def cmd_descend(args) -> int:
 
 
 def cmd_table_repro(args) -> int:
+    if args.m_max < 3:
+        raise InvalidParameter(f"--m-max must be at least 3, got {args.m_max}")
     base = field_from_order(2)
     rows = []
     for m in range(3, args.m_max + 1, 2):

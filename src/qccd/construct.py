@@ -4,10 +4,14 @@ descent through a self-dual basis."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     BasisFieldMismatch,
@@ -20,8 +24,8 @@ from .errors import (
     SearchExhausted,
     TooLargeToEnumerate,
 )
-from .field import FieldElement, FiniteField, make_field
-from .lincode import LinearCode, _span_weights_gf2
+from .field import FieldElement, FiniteField, field_from_order, make_field
+from .lincode import ENUM_CAP, LinearCode, _popcount, _span_weights_gf2
 from .polyring import Poly, poly_gcd, xm_minus_one
 from .qc import QcCode
 
@@ -141,41 +145,114 @@ def _dc_lcd_gf2(a: int, m: int) -> bool:
     return _gcd_bits(f, (1 << m) | 1) == 1
 
 
+@lru_cache(maxsize=None)
+def _subsets(m: int, w: int) -> np.ndarray:
+    """The w-subsets of range(m) as the columns of a (w, C(m, w)) index
+    array."""
+    return np.array(list(itertools.combinations(range(m), w)), dtype=np.intp).reshape(-1, w).T
+
+
+@lru_cache(maxsize=None)
+def _bz_depth(m: int) -> int:
+    """Largest w for which the sums of at most w rows of two m-row
+    generator matrices number at most 2^m."""
+    visited, w = 0, 0
+    while w < m and visited + 2 * math.comb(m, w + 1) <= 1 << m:
+        w += 1
+        visited += 2 * math.comb(m, w)
+    return w
+
+
 def _dc_distance_gf2(a: int, m: int) -> int:
-    rows = []
-    for i in range(m):
-        cyc = ((a << i) | (a >> (m - i))) & ((1 << m) - 1)
-        rows.append((1 << i) | (cyc << m))
-    weights = _span_weights_gf2(rows)
-    weights[0] = 2 * m + 1
-    return int(weights.min())
+    """Minimum distance of <(1, a)> over GF(2), by a Brouwer-Zimmermann
+    search on two generator matrices with disjoint information sets.
 
-
-def _dc_search_range_gf2(m: int, start: int, stop: int):
-    """Scan candidate serials [start, stop); returns (lcd_count, best_d,
-    best_serial) with best_serial = smallest tie."""
-    count = 0
-    best_d = -1
-    best_serial = -1
-    for a in range(start, stop):
-        if not _dc_lcd_gf2(a, m):
+    G1 = [I | circ(a)] is systematic on the left half.  G2 is G1 reduced
+    with pivots in the right half, where it has rank r2 = m - deg gcd(a,
+    x^m - 1); its other m - r2 rows vanish on the right half.  Once every
+    sum of at most w rows of G1 and of G2 is seen, an unseen codeword has
+    more than w ones on the left half and at least w + 1 - (m - r2) on the
+    pivot columns of the right half, so the search stops when that bound
+    reaches the lightest codeword seen.  If it has not stopped when the next
+    w would take the sums visited past 2^m, the whole code is enumerated.
+    Codewords are 2m-bit masks, left half in the low bits.
+    """
+    if 2 * m > 63:
+        raise TooLargeToEnumerate(f"codewords of length {2 * m} exceed a 64-bit mask")
+    mask = (1 << m) - 1
+    g1 = [(1 << i) | ((((a << i) | (a >> (m - i))) & mask) << m) for i in range(m)]
+    g2 = list(g1)
+    r2 = 0
+    for col in range(m, 2 * m):
+        bit = 1 << col
+        piv = next((i for i in range(r2, m) if g2[i] & bit), None)
+        if piv is None:
             continue
-        count += 1
-        d = _dc_distance_gf2(a, m)
+        g2[r2], g2[piv] = g2[piv], g2[r2]
+        for i in range(m):
+            if i != r2 and g2[i] & bit:
+                g2[i] ^= g2[r2]
+        r2 += 1
+    rows = np.array([g1, g2], dtype=np.int64)
+    best = 2 * m
+    for w in range(1, _bz_depth(m) + 1):
+        idx = _subsets(m, w)
+        words = rows[:, idx[0]]
+        for t in idx[1:]:
+            words ^= rows[:, t]
+        best = min(best, int(_popcount(words).min()))
+        if w + 1 + max(0, w + 1 - (m - r2)) >= best:
+            return best
+    if 1 << m > ENUM_CAP:
+        raise TooLargeToEnumerate(f"2^{m} codewords exceed the enumeration cap")
+    return int(_span_weights_gf2(g1)[1:].min())
+
+
+def _dc_orbits(q: int, m: int) -> tuple[list[int], list[int]]:
+    """Smallest serial and size of every orbit of a -> x^i a(x^j) mod
+    x^m - 1, gcd(j, m) = 1, on the q^m serials, in increasing order.  Both
+    maps permute the coordinates of <(1, a)>, so an orbit shares the LCD
+    property and the minimum distance."""
+    space, top = q**m, q ** (m - 1)
+    scales = [[q ** (i * j % m) for i in range(m)] for j in range(m) if math.gcd(j, m) == 1]
+    seen = bytearray(space)
+    reps, sizes = [], []
+    s = 0
+    while s >= 0:
+        coeffs = _serial_to_coeffs(s, q, m)
+        size = 0
+        for scale in scales:
+            b = sum(c * z for c, z in zip(coeffs, scale))  # a(x^j)
+            for _ in range(m):
+                if not seen[b]:
+                    seen[b] = 1
+                    size += 1
+                b = b % top * q + b // top  # times x
+        reps.append(s)
+        sizes.append(size)
+        s = seen.find(0, s + 1)
+    return reps, sizes
+
+
+def _dc_scan(base: FiniteField, m: int, serials, weights):
+    """(lcd_count, best_d, best_serial) over the serials in the given
+    order: an LCD serial counts with its weight, and the first serial of
+    the largest distance wins."""
+    q = base.order
+    count, best_d, best_serial = 0, -1, -1
+    for serial, weight in zip(serials, weights):
+        if q == 2:
+            if not _dc_lcd_gf2(serial, m):
+                continue
+            d = _dc_distance_gf2(serial, m)
+        else:
+            a = Poly(base, _serial_to_coeffs(serial, q, m))
+            if not dc_is_lcd(base, m, a):
+                continue
+            d = double_circulant(base, m, a).expand().min_distance()
+        count += weight
         if d > best_d:
-            best_d, best_serial = d, a
-    return count, best_d, best_serial
-
-
-def _merge_reports(parts):
-    count = 0
-    best_d = -1
-    best_serial = -1
-    for c, d, s in parts:
-        count += c
-        if d > best_d or (d == best_d and 0 <= s < best_serial):
-            if d >= best_d:
-                best_d, best_serial = d, s
+            best_d, best_serial = d, serial
     return count, best_d, best_serial
 
 
@@ -203,56 +280,55 @@ def dc_search(
 ) -> DcSearchReport:
     """Best minimum distance over LCD double circulant codes <(1, a(x))>.
 
-    Exhaustive mode, and random mode over GF(2), break ties toward the
-    smallest serialized a.  Random mode with q > 2 keeps the first tie in
-    trial order.  In random mode ``lcd_count`` counts trials, so a serial
-    drawn twice is counted twice.  The report is identical for any worker
-    count; ``workers`` is clamped to the CPUs and the chunks of work.
+    Exhaustive mode tests one a per orbit of a -> x^i a(x^j) mod x^m - 1,
+    gcd(j, m) = 1: these maps permute coordinates, so they keep the LCD
+    property and the distance.  The orbit's smallest serial stands for it
+    and ``lcd_count`` adds the orbit's size, so the report is the one a
+    test of every serial gives, ties broken toward the smallest serial.
+    Random mode tests every trial, so a serial drawn twice is counted
+    twice in ``lcd_count``; over GF(2) it breaks ties toward the smallest
+    serial, and with q > 2 it keeps the first tie in trial order.
+
+    Over GF(2) the distance comes from a Brouwer-Zimmermann search on two
+    information sets (``_dc_distance_gf2``), which enumerates the whole
+    code only when that is cheaper; other fields enumerate the expanded
+    code.  ``workers`` splits the candidates into contiguous chunks, so
+    the report is identical for any worker count; it is clamped to the
+    CPUs and the candidates.
     """
     if math.gcd(m, base.p) != 1:
         raise NotCoprime(f"characteristic {base.p} divides m={m}")
     q = base.order
     space = q**m
-    workers = _clamp_workers(workers, space)
     if mode == "exhaustive":
         if space > SEARCH_CAP:
             raise TooLargeToEnumerate(f"{q}^{m} candidates exceed the search cap")
-        serials = range(space)
+        serials, weights = _dc_orbits(q, m)
         n_candidates = space
     elif mode == "random":
         if seed is None:
             raise ValueError("random mode requires a seed")
         serials = list(_random_serials(seed, trials, space))
+        if q == 2:
+            serials.sort()
+        weights = [1] * len(serials)
         n_candidates = trials
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    if q == 2 and mode == "exhaustive":
-        if workers > 1:
-            chunk = (space + workers - 1) // workers
-            ranges = [(m, i, min(i + chunk, space)) for i in range(0, space, chunk)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_dc_search_range_gf2, *zip(*ranges)))
-        else:
-            parts = [_dc_search_range_gf2(m, 0, space)]
-        count, best_d, best_serial = _merge_reports(parts)
-    elif q == 2:
-        parts = [_dc_search_range_gf2(m, s, s + 1) for s in serials]
-        count, best_d, best_serial = _merge_reports(parts)
+    workers = _clamp_workers(workers, len(serials))
+    if workers > 1:
+        size = -(-len(serials) // workers)
+        starts = range(0, len(serials), size)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(
+                _dc_scan, itertools.repeat(base), itertools.repeat(m),
+                [serials[i:i + size] for i in starts], [weights[i:i + size] for i in starts],
+            ))
     else:
-        count = 0
-        best_d = -1
-        best_serial = -1
-        for serial in serials:
-            a = Poly(base, _serial_to_coeffs(serial, q, m))
-            if not dc_is_lcd(base, m, a):
-                continue
-            count += 1
-            d = double_circulant(base, m, a).expand().min_distance()
-            if d > best_d:
-                best_d, best_serial = d, serial
-        if count == 0:
-            best_d, best_serial = -1, -1
+        parts = [_dc_scan(base, m, serials, weights)]
+    # the chunks are in scan order, so the first best one wins
+    _, best_d, best_serial = max(parts, key=lambda part: part[1])
 
     if best_serial < 0:
         raise SearchExhausted("no LCD double circulant candidate found")
@@ -263,7 +339,7 @@ def dc_search(
         best_a=tuple(_serial_to_coeffs(best_serial, q, m)),
         best_serial=best_serial,
         best_distance=best_d,
-        lcd_count=count,
+        lcd_count=sum(count for count, _, _ in parts),
         candidates=n_candidates,
         seed=seed,
     )
@@ -296,15 +372,7 @@ class SelfDualBasis:
 def self_dual_basis(q: int, ell: int) -> SelfDualBasis:
     """Deterministic self-dual basis of GF(q^ell) over GF(q): normal bases
     are scanned first, then a depth-first orthonormal-set search."""
-    sub = (
-        make_field(q, 1)
-        if _is_prime_power_prime(q)
-        else None
-    )
-    if sub is None:
-        from .field import field_from_order
-
-        sub = field_from_order(q)
+    sub = field_from_order(q)
     big = make_field(sub.p, sub.k * ell)
     if q % 2 and ell % 2 == 0:
         raise NoSelfDualBasisExists(
@@ -351,12 +419,6 @@ def self_dual_basis(q: int, ell: int) -> SelfDualBasis:
             f"no self-dual basis of GF({q}^{ell}) over GF({q}) found by search"
         )
     return SelfDualBasis(big, sub, tuple(FieldElement(big, b) for b in found))
-
-
-def _is_prime_power_prime(q: int) -> bool:
-    from .field import _is_prime
-
-    return _is_prime(q)
 
 
 def expand_subfield(C: LinearCode, B: SelfDualBasis) -> LinearCode:

@@ -51,6 +51,8 @@ def parse_code(text: str) -> LinearCode:
         q, n, k = (int(x) for x in head)
     except ValueError as e:
         raise ParseError(f"bad header {lines[0]!r}") from e
+    if n < 1:
+        raise ParseError(f"n must be at least 1 in header {lines[0]!r}")
     if len(lines) != 1 + k:
         raise ParseError(f"expected {k} rows, got {len(lines) - 1}")
     field = field_from_order(q)

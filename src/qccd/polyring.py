@@ -44,13 +44,6 @@ class Poly:
     def x(cls, field):
         return cls(field, (0, 1))
 
-    @classmethod
-    def from_elements(cls, elems):
-        elems = list(elems)
-        if not elems:
-            raise ValueError("need at least one element to infer the field")
-        return cls(elems[0].field, [e.raw for e in elems])
-
     # -- basics ------------------------------------------------------------
     @property
     def degree(self) -> int:
@@ -227,6 +220,8 @@ class Poly:
 
 
 def xm_minus_one(field: FiniteField, m: int) -> Poly:
+    if m < 1:
+        raise ValueError(f"x^m - 1 needs m >= 1, got m = {m}")
     coeffs = [0] * (m + 1)
     coeffs[0] = field.neg_raw(1)
     coeffs[m] = 1
@@ -256,14 +251,6 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         return r0, s0, t0
     lead_inv = F.inv_raw(r0.coeffs[-1])
     return r0.scale(lead_inv), s0.scale(lead_inv), t0.scale(lead_inv)
-
-
-def monic_reciprocal(f: Poly) -> Poly:
-    return f.reciprocal()
-
-
-def conjugate_poly(f: Poly) -> Poly:
-    return f.conjugate()
 
 
 # ---------------------------------------------------------------------------

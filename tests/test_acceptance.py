@@ -2,7 +2,6 @@
 verdict line) per criterion.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 import json
-import os
 import random
 import time
 
@@ -44,8 +43,6 @@ F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F9 = make_field(3, 2)
-
-RUN_SLOW = bool(os.environ.get("QCCD_RUN_SLOW"))
 
 
 def verdict_line(num, ok, desc):
@@ -112,9 +109,7 @@ def test_criterion_01_named_double_circulant_example(tmp_path, capsys):
 
 
 def test_criterion_02_dc_table(capsys):
-    expected = {3: 1, 5: 3, 7: 4, 9: 3, 11: 6, 13: 7}
-    if RUN_SLOW:
-        expected.update({15: 5, 17: 8})
+    expected = {3: 1, 5: 3, 7: 4, 9: 3, 11: 6, 13: 7, 15: 5, 17: 8}
     got = {}
     for m in sorted(expected):
         got[m] = dc_search(F2, m, workers=4 if m >= 13 else 1).best_distance

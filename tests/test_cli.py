@@ -249,6 +249,23 @@ def test_nonpositive_lengths_and_workers_rejected(capsys, argv):
     assert payload["error"] == "InvalidParameter"
 
 
+@pytest.mark.parametrize("m_max", ["2", "-3"])
+def test_table_repro_m_max_rejected(capsys, m_max):
+    code, payload = run_json(capsys, "table-repro", "--m-max", m_max, "--format", "json")
+    assert code == 2
+    assert payload["error"] == "InvalidParameter"
+
+
+@pytest.mark.parametrize("command", ["extend-hermitian", "descend"])
+def test_code_file_length_rejected(tmp_path, capsys, command):
+    f = tmp_path / "empty.txt"
+    f.write_text("4 0 0\n")
+    argv = ["--q", "2"] if command == "descend" else []
+    code, payload = run_json(capsys, command, "--in", str(f), *argv)
+    assert code == 2
+    assert payload["error"] == "ParseError"
+
+
 @pytest.mark.parametrize("header", ["2 0 2 1", "2 -1 2 1", "2 3 0 0", "2 3 -2 0"])
 def test_qc_header_lengths_rejected(tmp_path, capsys, header):
     f = tmp_path / "bad.qc"

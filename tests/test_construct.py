@@ -1,9 +1,12 @@
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
 import qccd.construct as cc
 from qccd.construct import (
+    DcSearchReport,
     dc_is_lcd,
     dc_search,
     double_circulant,
@@ -23,7 +26,7 @@ from qccd.errors import (
     TooLargeToEnumerate,
 )
 from qccd.field import FieldElement, make_field
-from qccd.lincode import LinearCode
+from qccd.lincode import LinearCode, _span_weights_gf2
 from qccd.polyring import Poly
 
 F2 = make_field(2, 1)
@@ -156,6 +159,116 @@ def test_gf2_fast_distance_agrees():
             assert cc._dc_distance_gf2(serial, m) == expected
 
 
+def _full_distance_gf2(a, m):
+    # minimum weight over every nonzero codeword of <(1, a)>
+    mask = (1 << m) - 1
+    rows = [(1 << i) | ((((a << i) | (a >> (m - i))) & mask) << m) for i in range(m)]
+    return int(_span_weights_gf2(rows)[1:].min())
+
+
+def test_gf2_bz_distance_every_a():
+    for m in range(1, 12):
+        for a in range(2**m):
+            assert cc._dc_distance_gf2(a, m) == _full_distance_gf2(a, m), (m, a)
+
+
+@pytest.mark.parametrize("m", range(13, 22))
+def test_gf2_bz_distance_seeded(m):
+    rng = random.Random(m)
+    # 0 and 1 + x + ... + x^(m-1) = (x^m - 1)/(x + 1) have gcd degree m and
+    # m - 1 with x^m - 1, so G2 has rank 0 and 1 on the right half
+    cases = [0, (1 << m) - 1, 1 | 1 << (m - 1)] + [rng.randrange(2**m) for _ in range(4)]
+    for a in cases:
+        assert cc._dc_distance_gf2(a, m) == _full_distance_gf2(a, m), (m, a)
+
+
+def test_gf2_bz_distance_fallback(monkeypatch):
+    monkeypatch.setattr(cc, "_bz_depth", lambda m: 0)
+    for a in (0, 5, 0b1011, 0b1111111):
+        assert cc._dc_distance_gf2(a, 7) == _full_distance_gf2(a, 7)
+    monkeypatch.setattr(cc, "ENUM_CAP", 1 << 6)
+    with pytest.raises(TooLargeToEnumerate):
+        cc._dc_distance_gf2(5, 7)
+
+
+def test_gf2_bz_distance_mask_width():
+    # codewords of length 2m must fit a 64-bit mask
+    with pytest.raises(TooLargeToEnumerate):
+        cc._dc_distance_gf2(3, 33)
+
+
+def test_bz_depth_bounds_the_search():
+    for m in range(1, 25):
+        w = cc._bz_depth(m)
+        assert 2 * sum(math.comb(m, v) for v in range(1, w + 1)) <= 2**m
+        assert w == m or 2 * sum(math.comb(m, v) for v in range(1, w + 2)) > 2**m
+
+
+def _reference_scan(base, m, serials, mode="exhaustive"):
+    # dc_search's report from a test of every serial given, ties broken
+    # toward the smallest serial
+    q = base.order
+    count, best_d, best_serial = 0, -1, -1
+    for serial in serials:
+        if q == 2:
+            if not cc._dc_lcd_gf2(serial, m):
+                continue
+            d = _full_distance_gf2(serial, m)
+        else:
+            a = Poly(base, cc._serial_to_coeffs(serial, q, m))
+            if not dc_is_lcd(base, m, a):
+                continue
+            d = double_circulant(base, m, a).expand().min_distance()
+        count += 1
+        if d > best_d or (d == best_d and serial < best_serial):
+            best_d, best_serial = d, serial
+    return DcSearchReport(
+        q=q, m=m, mode=mode, best_a=tuple(cc._serial_to_coeffs(best_serial, q, m)),
+        best_serial=best_serial, best_distance=best_d, lcd_count=count,
+        candidates=len(serials),
+    )
+
+
+@pytest.mark.parametrize(
+    "q, m",
+    [(2, m) for m in (1, 3, 5, 7, 9, 11, 13)]
+    + [(3, m) for m in (1, 2, 4, 5, 7)]
+    + [(4, m) for m in (1, 3, 5)],
+)
+def test_dc_search_orbits_match_reference_scan(q, m):
+    base = {2: F2, 3: F3, 4: make_field(2, 2)}[q]
+    assert dc_search(base, m) == _reference_scan(base, m, range(q**m))
+
+
+@pytest.mark.parametrize("m, trials, seed", [(9, 30, 1), (11, 40, 2), (13, 40, 2)])
+def test_dc_search_random_gf2_matches_reference_scan(m, trials, seed):
+    # each seed draws two serials of the best distance, the larger first
+    serials = list(cc._random_serials(seed, trials, 2**m))
+    expected = _reference_scan(F2, m, serials, mode="random")
+    assert dc_search(F2, m, mode="random", seed=seed, trials=trials) == replace(
+        expected, seed=seed
+    )
+
+
+@pytest.mark.parametrize("q, m", [(2, 9), (3, 5), (4, 3), (3, 4)])
+def test_dc_orbits_are_the_symmetry_orbits(q, m):
+    base = {2: F2, 3: F3, 4: make_field(2, 2)}[q]
+
+    def serial(p):
+        return sum(c * q**i for i, c in enumerate(p.coeffs))
+
+    def orbit(s):
+        a = Poly(base, cc._serial_to_coeffs(s, q, m))
+        return {
+            serial(a.substitute_power(j, m).shift_mod_xm(i, m))
+            for i in range(m) for j in range(1, m + 1) if math.gcd(j, m) == 1
+        }
+
+    reps, sizes = cc._dc_orbits(q, m)
+    assert reps == sorted({min(orbit(s)) for s in range(q**m)})
+    assert sizes == [len(orbit(s)) for s in reps]
+
+
 def test_dc_search_small_table():
     assert dc_search(F2, 3).best_distance == 1
     r5 = dc_search(F2, 5)
@@ -174,10 +287,15 @@ def test_dc_search_reports_smallest_tie():
 
 
 def test_dc_search_workers_deterministic():
-    r1 = dc_search(F2, 9, workers=1)
-    r3 = dc_search(F2, 9, workers=3)
-    r4 = dc_search(F2, 9, workers=4)
-    assert r1 == r3 == r4
+    for field, m, kwargs in [
+        (F2, 9, {}),
+        (F2, 13, {}),
+        (F3, 5, {}),
+        (F2, 11, {"mode": "random", "seed": 99, "trials": 40}),
+        (F3, 8, {"mode": "random", "seed": 1, "trials": 100}),
+    ]:
+        reports = [dc_search(field, m, workers=w, **kwargs) for w in (1, 2, 3, 4)]
+        assert all(r == reports[0] for r in reports), (field, m, kwargs)
 
 
 def test_dc_search_random_mode_deterministic():

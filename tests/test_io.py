@@ -51,6 +51,9 @@ def test_code_header_errors():
         parse_code("2 3 2\n1 0 1\n")  # row count mismatch
     with pytest.raises(ParseError):
         parse_code("2 3 1\n1 0 5\n")  # entry out of range
+    for header in ("4 0 0", "4 -2 0"):
+        with pytest.raises(ParseError):
+            parse_code(header + "\n")
 
 
 def test_qc_roundtrip():

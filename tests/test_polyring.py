@@ -124,6 +124,13 @@ def test_reciprocal_involutes(f):
 # gcd
 # ---------------------------------------------------------------------------
 
+def test_xm_minus_one_needs_positive_m():
+    assert xm_minus_one(F3, 1) == P(F3, 2, 1)
+    for m in (0, -2):
+        with pytest.raises(ValueError):
+            xm_minus_one(F2, m)
+
+
 def test_gcd_of_coprime_is_one():
     assert poly_gcd(P(F2, 1, 1), P(F2, 1, 1, 1)).degree == 0
 
