@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_positive(args) -> None:
-    for name in ("m", "ell", "workers"):
+    for name in ("m", "ell", "workers", "trials"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise InvalidParameter(f"--{name} must be at least 1, got {value}")

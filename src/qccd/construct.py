@@ -25,7 +25,16 @@ from .errors import (
     TooLargeToEnumerate,
 )
 from .field import FieldElement, FiniteField, field_from_order, make_field
-from .lincode import ENUM_CAP, LinearCode, _popcount, _span_weights_gf2
+from .lincode import (
+    _CHUNK,
+    ENUM_CAP,
+    LinearCode,
+    _popcount,
+    _row_multiples,
+    _span_weights_gf2,
+    _vadd,
+    rref,
+)
 from .polyring import Poly, poly_gcd, xm_minus_one
 from .qc import QcCode
 
@@ -208,6 +217,59 @@ def _dc_distance_gf2(a: int, m: int) -> int:
     return int(_span_weights_gf2(g1)[1:].min())
 
 
+def _dc_distance(base: FiniteField, m: int, a: list[int]) -> int:
+    """Minimum distance of <(1, a)> over GF(q), a given as m raw coefficient
+    codes, low degree first: the search of ``_dc_distance_gf2`` on raw
+    codes.
+
+    A codeword whose coefficient vector has support w is a scalar multiple
+    of one whose first nonzero coefficient is 1, so C(m, w) (q - 1)^(w - 1)
+    sums of w rows of each matrix stand for all of them (``_row_sums``).
+    G2 is G1 reduced by ``rref`` with the right-half columns first; weights
+    do not depend on column order, so G2 stays in that order.  For a != 0,
+    r2 >= 1 and the bound reaches the Singleton bound m + 1 by w = m - 1
+    (a = 0 stops at w = 1), so the search needs no fallback.  It may visit
+    up to 2 (q^m - 1)/(q - 1) sums, so q^m above ``ENUM_CAP`` is refused
+    first, as ``LinearCode.min_distance`` refuses it.
+    """
+    q, n = base.order, 2 * m
+    if q**m > ENUM_CAP:
+        raise TooLargeToEnumerate(f"{q}^{m} codewords exceed the enumeration cap")
+    shift = np.arange(m)
+    circ = np.array(a, dtype=np.int64)[(shift[None, :] - shift[:, None]) % m]
+    g1 = np.hstack([np.eye(m, dtype=np.int64), circ])
+    g2, pivots = rref(base, np.hstack([circ, np.eye(m, dtype=np.int64)]).tolist())
+    r2 = sum(c < m for c in pivots)
+    # mults[j, i, s - 1] = s * (row i of matrix j)
+    mults = _row_multiples(base, np.array([g1, g2]), range(1, q)).transpose(1, 2, 0, 3)
+    best = n
+    for w in range(1, m + 1):
+        for words in _row_sums(base, mults, w):
+            best = min(best, int(np.count_nonzero(words, axis=-1).min()))
+        if w + 1 + max(0, w + 1 - (m - r2)) >= best:
+            break
+    return best
+
+
+def _row_sums(field: FiniteField, mults: np.ndarray, w: int):
+    """Every sum of w rows with first coefficient 1, for each matrix j,
+    from mults[j, i, s - 1] = s * (row i of matrix j): blocks of shape
+    (matrices, B, n) with at most ``_CHUNK`` words in all."""
+    q, m = field.order, mults.shape[1]
+    idx = _subsets(m, w)
+    per = (q - 1) ** (w - 1)
+    total, block = idx.shape[1] * per, max(1, _CHUNK // len(mults))
+    for start in range(0, total, block):
+        # flat index f: subset f // per, coefficients of rows 2..w the
+        # base-(q - 1) digits of f % per
+        subset, coef = np.divmod(np.arange(start, min(start + block, total)), per)
+        words = mults[:, idx[0, subset], 0]
+        for t in range(1, w):
+            words = _vadd(field, words, mults[:, idx[t, subset], coef % (q - 1)])
+            coef //= q - 1
+        yield words
+
+
 def _dc_orbits(q: int, m: int) -> tuple[list[int], list[int]]:
     """Smallest serial and size of every orbit of a -> x^i a(x^j) mod
     x^m - 1, gcd(j, m) = 1, on the q^m serials, in increasing order.  Both
@@ -246,10 +308,10 @@ def _dc_scan(base: FiniteField, m: int, serials, weights):
                 continue
             d = _dc_distance_gf2(serial, m)
         else:
-            a = Poly(base, _serial_to_coeffs(serial, q, m))
-            if not dc_is_lcd(base, m, a):
+            coeffs = _serial_to_coeffs(serial, q, m)
+            if not dc_is_lcd(base, m, Poly(base, coeffs)):
                 continue
-            d = double_circulant(base, m, a).expand().min_distance()
+            d = _dc_distance(base, m, coeffs)
         count += weight
         if d > best_d:
             best_d, best_serial = d, serial
@@ -289,12 +351,13 @@ def dc_search(
     twice in ``lcd_count``; over GF(2) it breaks ties toward the smallest
     serial, and with q > 2 it keeps the first tie in trial order.
 
-    Over GF(2) the distance comes from a Brouwer-Zimmermann search on two
-    information sets (``_dc_distance_gf2``), which enumerates the whole
-    code only when that is cheaper; other fields enumerate the expanded
-    code.  ``workers`` splits the candidates into contiguous chunks, so
-    the report is identical for any worker count; it is clamped to the
-    CPUs and the candidates.
+    The distance comes from a Brouwer-Zimmermann search on two
+    information sets, on bit masks over GF(2) (``_dc_distance_gf2``) and
+    on raw codes over other fields (``_dc_distance``); over GF(2) it
+    enumerates the whole code only when that is cheaper.  More than
+    ``SEARCH_CAP`` candidates or trials are refused.  ``workers`` splits
+    the candidates into contiguous chunks, so the report is identical for
+    any worker count; it is clamped to the CPUs and the candidates.
     """
     if math.gcd(m, base.p) != 1:
         raise NotCoprime(f"characteristic {base.p} divides m={m}")
@@ -308,6 +371,8 @@ def dc_search(
     elif mode == "random":
         if seed is None:
             raise ValueError("random mode requires a seed")
+        if trials > SEARCH_CAP:
+            raise TooLargeToEnumerate(f"{trials} trials exceed the search cap")
         serials = list(_random_serials(seed, trials, space))
         if q == 2:
             serials.sort()

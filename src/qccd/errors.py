@@ -6,7 +6,7 @@ class QccdError(Exception):
 
 
 class InvalidParameter(QccdError):
-    """A length, index or worker count below its allowed range."""
+    """A length, index, worker count or trial count below its allowed range."""
 
 
 # field

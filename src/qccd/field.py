@@ -158,6 +158,8 @@ class FiniteField:
         if self.p == 2:
             return a ^ b
         p = self.p
+        if self.k == 1:
+            return (a + b) % p
         out = 0
         for i in range(self.k):
             pi = self._pk_pows[i]
@@ -168,6 +170,8 @@ class FiniteField:
         if self.p == 2:
             return a
         p = self.p
+        if self.k == 1:
+            return -a % p
         out = 0
         for i in range(self.k):
             pi = self._pk_pows[i]
@@ -175,6 +179,10 @@ class FiniteField:
         return out
 
     def sub_raw(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        if self.k == 1:
+            return (a - b) % self.p
         return self.add_raw(a, self.neg_raw(b))
 
     def _polymul_raw(self, a: int, b: int) -> int:

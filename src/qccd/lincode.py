@@ -280,6 +280,15 @@ def _check_scalars(field: FiniteField, scalars) -> list[int]:
     return T
 
 
+def _row_multiples(field: FiniteField, R: np.ndarray, scalars) -> np.ndarray:
+    """s * R for every scalar s, stacked on a new first axis, from one
+    product table over the distinct entries of R (raw codes)."""
+    entries, where = np.unique(R, return_inverse=True)
+    table = np.array([[field.mul_raw(s, x) for x in entries.tolist()] for s in scalars],
+                     dtype=np.int64)
+    return table[:, where.reshape(R.shape)]
+
+
 def _weight_counts(W: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(np.count_nonzero(W, axis=1), minlength=n + 1)
 
@@ -312,13 +321,9 @@ def weight_distribution(field: FiniteField, rows, n: int, scalars=None) -> np.nd
         packed = [sum(1 << j for j, x in enumerate(r) if x) for r in rows]
         return np.bincount(_span_weights_gf2(packed), minlength=n + 1).astype(np.int64)
 
-    # scalar multiples of every row, mults[:, i] an (S, n) array, from one
-    # product table over the distinct entries
+    # scalar multiples of every row, mults[:, i] an (S, n) array
     R = np.array(rows, dtype=np.int64)
-    entries, where = np.unique(R, return_inverse=True)
-    table = np.array([[field.mul_raw(s, x) for x in entries.tolist()] for s in scalars],
-                     dtype=np.int64)
-    mults = table[:, where.reshape(R.shape)]
+    mults = _row_multiples(field, R, scalars)
 
     def spanned(i, span):
         # span_T(rows[i:]) from span_T(rows[i+1:]): one broadcast add

@@ -124,36 +124,6 @@ class ConstituentSet:
         )
 
 
-def constituent_set(profile: FactorProfile, self_parts, pair_parts) -> ConstituentSet:
-    """Validate shapes and subfield membership, canonicalize each part."""
-    self_parts = list(self_parts)
-    pair_parts = [tuple(pp) for pp in pair_parts]
-    if len(self_parts) != profile.s or len(pair_parts) != profile.t:
-        raise ShapeMismatch(
-            f"expected {profile.s} self slots and {profile.t} pair slots"
-        )
-    S = profile.splitting
-    q = profile.base.order
-    ells = set()
-    for part in self_parts:
-        ells.add(part.n)
-    for cp, cpp in pair_parts:
-        ells.update((cp.n, cpp.n))
-    if len(ells) != 1:
-        raise ShapeMismatch(f"inconsistent constituent lengths {sorted(ells)}")
-    ell = ells.pop()
-    for (g, _), part in zip(profile.self_recip, self_parts):
-        if part.field is not S:
-            raise ShapeMismatch("constituents must live in the splitting field")
-        _assert_subfield(S, part.rows, q**g.degree)
-    for (h, _, _), (cp, cpp) in zip(profile.pairs, pair_parts):
-        for part in (cp, cpp):
-            if part.field is not S:
-                raise ShapeMismatch("constituents must live in the splitting field")
-            _assert_subfield(S, part.rows, q**h.degree)
-    return ConstituentSet(profile, ell, tuple(self_parts), tuple(pair_parts))
-
-
 def constituents(C: QcCode) -> ConstituentSet:
     """Evaluate the generators at xi^{u_i}, xi^{v_j}, xi^{-v_j} and span
     over the respective subfields."""

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qccd.construct as cc
 from qccd.cli import main
 
 DATA_DC_M5 = "2 5 2 1\n1|1,1,0,1\n"
@@ -241,12 +247,27 @@ def test_field_order_cap_in_cli(capsys):
         ("dc-search", "--q", "2", "--m", "-1", "--exhaustive"),
         ("dc-search", "--q", "2", "--m", "5", "--exhaustive", "--workers", "0"),
         ("table-repro", "--m-max", "5", "--workers", "-2"),
+        ("dc-search", "--q", "3", "--m", "5", "--seed", "1", "--trials", "0"),
+        ("dc-search", "--q", "3", "--m", "5", "--seed", "1", "--trials", "-5"),
     ],
 )
 def test_nonpositive_lengths_and_workers_rejected(capsys, argv):
     code, payload = run_json(capsys, *argv)
     assert code == 2
     assert payload["error"] == "InvalidParameter"
+
+
+def test_dc_search_trials_cap(capsys, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("trials drawn past the cap")
+
+    monkeypatch.setattr(cc, "_random_serials", no_draws)
+    for trials in (cc.SEARCH_CAP + 1, 10**11):
+        code, payload = run_json(
+            capsys, "dc-search", "--q", "2", "--m", "9", "--seed", "1", "--trials", str(trials)
+        )
+        assert code == 2
+        assert payload["error"] == "TooLargeToEnumerate"
 
 
 @pytest.mark.parametrize("m_max", ["2", "-3"])
@@ -273,3 +294,123 @@ def test_qc_header_lengths_rejected(tmp_path, capsys, header):
     code, payload = run_json(capsys, "qc-check", "--in", str(f))
     assert code == 2
     assert payload["error"] == "ParseError"
+
+
+# -- malformed input files ----------------------------------------------------
+
+FIELD_ORDERS = [2, 3, 4, 5, 9]
+BAD_ORDERS = ["0", "1", "-4", "6", "12", str(2**21)]
+NOT_INTS = ["x", "1.5", "0x3", "--1"]
+
+
+def _replace(draw, tokens, choices):
+    i = draw(st.integers(0, len(tokens) - 1))
+    tokens[i] = draw(st.sampled_from(choices))
+
+
+@st.composite
+def malformed_code(draw):
+    """A "q n k" code file with exactly one fault."""
+    q = draw(st.sampled_from(FIELD_ORDERS))
+    n, k = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    head = [str(q), str(n), str(k)]
+    rows = [[str(draw(st.integers(0, q - 1))) for _ in range(n)] for _ in range(k)]
+    faults = ["empty", "order", "length", "head_tokens", "head_int", "row_count"]
+    if k:
+        faults += ["row_length", "entry_range", "entry_int"]
+    fault = draw(st.sampled_from(faults))
+    if fault == "empty":
+        return draw(st.sampled_from(["", "\n", "  \n \n"]))
+    if fault == "order":
+        head[0] = draw(st.sampled_from(BAD_ORDERS))
+    elif fault == "length":
+        head[1] = str(draw(st.integers(-3, 0)))
+    elif fault == "head_tokens":
+        head = draw(st.sampled_from([head[:2], head + ["1"], head[:1]]))
+    elif fault == "head_int":
+        _replace(draw, head, NOT_INTS)
+    elif fault == "row_count":
+        head[2] = str(draw(st.sampled_from([k + 1, k + 2, k - 1, -1])))
+    elif fault == "row_length":
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row.append("0")
+        else:
+            row.pop()
+    elif fault == "entry_range":
+        _replace(draw, draw(st.sampled_from(rows)), [str(q), str(q + 5), "-1"])
+    else:
+        _replace(draw, draw(st.sampled_from(rows)), NOT_INTS + ["1,0"])
+    return "\n".join([" ".join(head)] + [" ".join(r) for r in rows]) + "\n"
+
+
+@st.composite
+def malformed_qc(draw):
+    """A "q m ell r" quasi-cyclic code file with exactly one fault."""
+    q = draw(st.sampled_from(FIELD_ORDERS))
+    m, ell, r = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    head = [str(q), str(m), str(ell), str(r)]
+    gens = [
+        [[str(draw(st.integers(0, q - 1))) for _ in range(draw(st.integers(1, m)))]
+         for _ in range(ell)]
+        for _ in range(r)
+    ]
+    faults = ["empty", "order", "length", "head_tokens", "head_int", "gen_count"]
+    if r:
+        faults += ["block_count", "coeff_range", "coeff_int", "degree"]
+    fault = draw(st.sampled_from(faults))
+    if fault == "empty":
+        return draw(st.sampled_from(["", "\n", "  \n \n"]))
+    if fault == "order":
+        head[0] = draw(st.sampled_from(BAD_ORDERS))
+    elif fault == "length":
+        head[draw(st.sampled_from([1, 2]))] = str(draw(st.integers(-3, 0)))
+    elif fault == "head_tokens":
+        head = draw(st.sampled_from([head[:3], head + ["1"], head[:1]]))
+    elif fault == "head_int":
+        _replace(draw, head, NOT_INTS)
+    elif fault == "gen_count":
+        head[3] = str(draw(st.sampled_from([r + 1, r + 2, r - 1, -1])))
+    elif fault == "block_count":
+        gen = draw(st.sampled_from(gens))
+        if draw(st.booleans()):
+            gen.append(["0"])
+        else:
+            gen.pop()
+    elif fault == "degree":
+        draw(st.sampled_from(draw(st.sampled_from(gens)))).extend(["0"] * m + ["1"])
+    else:
+        block = draw(st.sampled_from(draw(st.sampled_from(gens))))
+        bad = [str(q), str(q + 5), "-1"] if fault == "coeff_range" else NOT_INTS + ["", " "]
+        _replace(draw, block, bad)
+    lines = ["|".join(",".join(block) for block in gen) for gen in gens]
+    return "\n".join([" ".join(head)] + lines) + "\n"
+
+
+def _run_on_text(tmpdir, text, command, *flags):
+    path = os.path.join(tmpdir, "input")
+    with open(path, "w") as fh:
+        fh.write(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--in", path, *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=malformed_qc())
+def test_malformed_qc_file_is_an_input_error(text):
+    with tempfile.TemporaryDirectory() as tmpdir:
+        code, out, err = _run_on_text(tmpdir, text, "qc-check")
+    assert (code, err) == (2, ""), (text, out)
+    assert set(json.loads(out)) == {"error", "message"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=malformed_code(), command=st.sampled_from(["extend-hermitian", "descend"]))
+def test_malformed_code_file_is_an_input_error(text, command):
+    flags = ["--q", "2"] if command == "descend" else []
+    with tempfile.TemporaryDirectory() as tmpdir:
+        code, out, err = _run_on_text(tmpdir, text, command, *flags)
+    assert (code, err) == (2, ""), (text, out)
+    assert set(json.loads(out)) == {"error", "message"}

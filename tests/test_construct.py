@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import qccd.construct as cc
@@ -26,12 +28,13 @@ from qccd.errors import (
     TooLargeToEnumerate,
 )
 from qccd.field import FieldElement, make_field
-from qccd.lincode import LinearCode, _span_weights_gf2
+from qccd.lincode import LinearCode, _row_multiples, _span_weights_gf2
 from qccd.polyring import Poly
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
+F5 = make_field(5, 1)
 F9 = make_field(3, 2)
 
 
@@ -202,6 +205,77 @@ def test_bz_depth_bounds_the_search():
         w = cc._bz_depth(m)
         assert 2 * sum(math.comb(m, v) for v in range(1, w + 1)) <= 2**m
         assert w == m or 2 * sum(math.comb(m, v) for v in range(1, w + 2)) > 2**m
+
+
+def _expanded_distance(base, m, a):
+    return double_circulant(base, m, Poly(base, a)).expand().min_distance()
+
+
+@pytest.mark.parametrize("field, m_max", [(F3, 5), (F4, 5), (F5, 4), (F9, 3)])
+def test_bz_distance_every_a(field, m_max):
+    q = field.order
+    for m in range(1, m_max + 1):
+        for serial in range(q**m):
+            a = cc._serial_to_coeffs(serial, q, m)
+            assert cc._dc_distance(field, m, a) == _expanded_distance(field, m, a), (m, a)
+
+
+@pytest.mark.parametrize("field, m", [(F3, 7), (F3, 8), (F4, 7)])
+def test_bz_distance_seeded(field, m):
+    q = field.order
+    rng = random.Random(q * m)
+    # a = 0 and a = (x^m - 1)/(x - 1) leave G2 rank 0 and 1 on the right half
+    cases = [[0] * m, [1] * m] + [
+        cc._serial_to_coeffs(rng.randrange(q**m), q, m) for _ in range(40)
+    ]
+    for a in cases:
+        assert cc._dc_distance(field, m, a) == _expanded_distance(field, m, a), a
+
+
+@pytest.mark.parametrize("field, m", [(F3, 5), (F4, 4), (F5, 3), (F9, 3)])
+@pytest.mark.parametrize("chunk", [cc._CHUNK, 4])
+def test_row_sums_visit_each_normalised_combination_once(monkeypatch, field, m, chunk):
+    # rows of the identity: each sum is its own coefficient vector
+    monkeypatch.setattr(cc, "_CHUNK", chunk)
+    q = field.order
+    eye = np.eye(m, dtype=np.int64)[None]
+    mults = _row_multiples(field, eye, range(1, q)).transpose(1, 2, 0, 3)
+    for w in range(1, m + 1):
+        blocks = list(cc._row_sums(field, mults, w))
+        assert all(b.shape[0] * b.shape[1] <= chunk for b in blocks)
+        got = [tuple(v) for b in blocks for v in b[0].tolist()]
+        expected = [
+            v for v in itertools.product(range(q), repeat=m)
+            if sum(map(bool, v)) == w and next(x for x in v if x) == 1
+        ]
+        assert sorted(got) == expected
+
+
+@pytest.mark.parametrize("field, m", [(F3, 5), (F4, 4), (F5, 3)])
+def test_bz_distance_needs_no_fallback(monkeypatch, field, m):
+    # r2 >= 1 for a != 0, so the bound meets the Singleton bound m + 1 by
+    # w = m - 1 and the search never runs to full depth
+    depths = []
+    row_sums = cc._row_sums
+
+    def recording(f, mults, w):
+        depths.append(w)
+        return row_sums(f, mults, w)
+
+    monkeypatch.setattr(cc, "_row_sums", recording)
+    for serial in range(field.order**m):
+        a = cc._serial_to_coeffs(serial, field.order, m)
+        depths.clear()
+        cc._dc_distance(field, m, a)
+        assert max(depths) <= max(1, m - 1), a
+
+
+def test_bz_distance_refuses_large_codes():
+    # 3^16 > ENUM_CAP; a = 0 would otherwise end at w = 1
+    with pytest.raises(TooLargeToEnumerate):
+        cc._dc_distance(F3, 16, [0] * 16)
+    with pytest.raises(TooLargeToEnumerate):
+        double_circulant(F3, 16, Poly.zero(F3)).expand().min_distance()
 
 
 def _reference_scan(base, m, serials, mode="exhaustive"):

@@ -65,6 +65,20 @@ def test_field_axioms_exhaustive(F):
                 assert lhs == rhs
 
 
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (2, 2)])
+def test_add_neg_sub_match_digit_formula(p, k):
+    F = make_field(p, k)
+
+    def digitwise(f, *xs):
+        return sum(f(*(x // p**i for x in xs)) % p * p**i for i in range(k))
+
+    for a in range(F.order):
+        assert F.neg_raw(a) == digitwise(lambda x: -x, a)
+        for b in range(F.order):
+            assert F.add_raw(a, b) == digitwise(lambda x, y: x + y, a, b)
+            assert F.sub_raw(a, b) == digitwise(lambda x, y: x - y, a, b)
+
+
 def test_inv_zero_raises():
     with pytest.raises(DivisionByZero):
         F4.inv_raw(0)
