@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Randomized audit of the quasi-cyclic certification machinery.
 
-Draws seeded random QC codes over small fields and checks, for each one:
-the constituent-wise complementary-dual criterion against the expanded
-hull, the CRT roundtrip, the dimension identity, the dual decomposition,
-and the concatenation bound against the true distance.
+Draws seeded random QC codes over GF(2), GF(3), GF(4) and GF(9) and
+checks, for each one: the constituent-wise complementary-dual criterion
+against the expanded hull, the CRT roundtrip, the dimension identity, the
+dual decomposition, and the concatenation bound against the true distance.
 """
 import argparse
+import math
 import random
 import sys
 
@@ -14,10 +15,10 @@ from qccd import (
     QcCode,
     constituents,
     dual_constituents,
+    field_from_order,
     from_constituents,
     is_qccd,
     jensen_bound,
-    make_field,
 )
 from qccd.errors import TooLargeToEnumerate
 from qccd.polyring import Poly
@@ -35,24 +36,24 @@ def random_code(rng, base, m, ell, r):
     return QcCode.make(base, m, ell, gens)
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--trials", type=int, default=100)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
     grid = [
         (q, m, ell)
-        for q in (2, 3)
+        for q in (2, 3, 4, 9)
         for m in (3, 5, 7)
         for ell in (2, 3, 4)
-        if m % q  # the block length must be coprime to the characteristic
+        if math.gcd(m, q) == 1  # the block length must be coprime to the characteristic
     ]
     qccd_count = 0
     for i in range(args.trials):
         q, m, ell = grid[rng.randrange(len(grid))]
-        base = make_field(q, 1) if q in (2, 3) else None
+        base = field_from_order(q)
         C = random_code(rng, base, m, ell, rng.randrange(1, 3))
         lin = C.expand()
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import construct, cyclic, io, qc
 from .errors import InvalidParameter, QccdError, TooLargeToEnumerate
 from .field import field_from_order
-from .lincode import LinearCode
+from .lincode import MAX_LENGTH, LinearCode
 from .polyring import factor_xm_minus_1
 
 DC_TABLE_REFERENCE = {3: 1, 5: 3, 7: 4, 9: 3, 11: 6, 13: 7, 15: 5, 17: 8}
@@ -271,6 +271,8 @@ def cmd_descend(args) -> int:
         ell += 1
     if qq != Q:
         raise QccdError(f"{args.q} is not a subfield order of {Q}")
+    if C.n * ell > MAX_LENGTH:
+        raise InvalidParameter(f"descended length {C.n * ell} exceeds {MAX_LENGTH}")
     B = construct.self_dual_basis(args.q, ell)
     if B.big is not C.field:
         raise QccdError("basis field does not match the code field")
@@ -386,11 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_positive(args) -> None:
+def _check_ranges(args) -> None:
     for name in ("m", "ell", "workers", "trials"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise InvalidParameter(f"--{name} must be at least 1, got {value}")
+        if name in ("m", "ell") and value is not None and value > MAX_LENGTH:
+            raise InvalidParameter(f"--{name} must be at most {MAX_LENGTH}, got {value}")
 
 
 def main(argv=None) -> int:
@@ -399,7 +403,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        _check_positive(args)
+        _check_ranges(args)
         return args.func(args)
     except (QccdError, OSError, ValueError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}))

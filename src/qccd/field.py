@@ -5,6 +5,11 @@ Elements are stored in polynomial-basis representation, encoded as an
 integer in [0, p^k): the base-p digits are the coefficients, low digit =
 constant coefficient.  All field contexts are interned singletons, so the
 choice of modulus and primitive element is bit-reproducible across runs.
+
+Fields up to order 2^16 build exp/log tables of a primitive element g on
+first use and, in odd characteristic with k > 1, Zech logarithms
+zech[d] = log(1 + g^d) for addition; larger fields compute digit by digit.
+The row operation ``row_sub_raw`` (xs - c*ys) is built from these tables.
 """
 from __future__ import annotations
 
@@ -65,17 +70,6 @@ def _pf_trim(c: list[int]) -> list[int]:
     return c
 
 
-def _pf_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pf_trim(out)
-
-
 def _pf_mod(a, b, p):
     # b monic
     a = list(a)
@@ -127,6 +121,7 @@ class FiniteField:
         self.modulus = modulus
         self._exp = None
         self._log = None
+        self._zech = None
         self._prim = None
         self._embeddings: dict[int, tuple[list[int], dict[int, int]]] = {}
         if p == 2:
@@ -154,17 +149,23 @@ class FiniteField:
         return sum(d * self._pk_pows[i] for i, d in enumerate(digits))
 
     # -- raw arithmetic on integer codes -----------------------------------
+    # Zech addition: with n = q - 1 and g^(n/2) = -1, a nonzero b is a * g^d
+    # for d = log b - log a, so a + b = g^(log a + zech[d]), and a + b = 0
+    # exactly when d = n/2 (mod n), where zech points into the zeros of exp.
     def add_raw(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
         p = self.p
         if self.k == 1:
             return (a + b) % p
-        out = 0
-        for i in range(self.k):
-            pi = self._pk_pows[i]
-            out += (((a // pi) + (b // pi)) % p) * pi
-        return out
+        if not a or not b:
+            return a or b
+        if self._zech is None and not self._ensure_tables():
+            da, db = self.to_digits(a), self.to_digits(b)
+            return self.from_digits([(x + y) % p for x, y in zip(da, db)])
+        log = self._log
+        la = log[a]
+        return self._exp[la + self._zech[log[b] - la]]
 
     def neg_raw(self, a: int) -> int:
         if self.p == 2:
@@ -172,11 +173,11 @@ class FiniteField:
         p = self.p
         if self.k == 1:
             return -a % p
-        out = 0
-        for i in range(self.k):
-            pi = self._pk_pows[i]
-            out += ((-(a // pi)) % p) * pi
-        return out
+        if not a:
+            return 0
+        if self._exp is None and not self._ensure_tables():
+            return self.from_digits([-x % p for x in self.to_digits(a)])
+        return self._exp[self._log[a] + (self.order - 1) // 2]
 
     def sub_raw(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -184,6 +185,28 @@ class FiniteField:
         if self.k == 1:
             return (a - b) % self.p
         return self.add_raw(a, self.neg_raw(b))
+
+    def row_sub_raw(self, xs, c: int, ys) -> list[int]:
+        """xs - c * ys entrywise on equal-length lists of raw codes, the row
+        operation of every elimination; no entry costs a method call on a
+        tabled field."""
+        p = self.p
+        if c == 0:
+            return list(xs)
+        if self.k == 1:
+            if p == 2:
+                return [x ^ y for x, y in zip(xs, ys)]
+            return [(x - c * y) % p for x, y in zip(xs, ys)]
+        if self._exp is None and not self._ensure_tables():
+            return [self.sub_raw(x, self._polymul_raw(c, y)) for x, y in zip(xs, ys)]
+        exp, log = self._exp, self._log
+        if p == 2:
+            lc = log[c]
+            return [x ^ exp[lc + log[y]] if y else x for x, y in zip(xs, ys)]
+        n, zech = self.order - 1, self._zech
+        lc = (log[c] + n // 2) % n  # log of -c; lc + log[y] is the log of -c*y
+        return [(exp[log[x] + zech[lc + log[y] - log[x]]] if x else exp[lc + log[y]]) if y else x
+                for x, y in zip(xs, ys)]
 
     def _polymul_raw(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -216,9 +239,12 @@ class FiniteField:
                     prod[i - self.k + j] = (prod[i - self.k + j] - c * self.modulus[j]) % p
         return self.from_digits(prod[: self.k])
 
-    def _ensure_tables(self):
-        if self._exp is not None or self.order > _TABLE_LIMIT:
-            return
+    def _ensure_tables(self) -> bool:
+        """Build exp/log (and zech) on first use; False above the limit."""
+        if self._exp is not None:
+            return True
+        if self.order > _TABLE_LIMIT:
+            return False
         g = self.primitive_element_raw()
         n = self.order - 1
         exp = [0] * (2 * n)
@@ -229,7 +255,21 @@ class FiniteField:
             exp[i + n] = cur
             log[cur] = i
             cur = self._polymul_raw(cur, g)
+        p = self.p
+        if p != 2 and self.k > 1:
+            # 1 + g^d only changes the constant digit.  zech has period n and
+            # length 2n, so any d in [-2n, 2n) indexes it; 1 + g^(n/2) = 0
+            # maps to 2n - 1, and exp is 0 from there on
+            zech = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in exp[:n]]
+            zech[n // 2] = 2 * n - 1
+            self._zech = zech + zech
+            exp[2 * n - 1:] = [0] * n
         self._exp, self._log = exp, log
+        return True
+
+    def tables(self):
+        """(exp, log) lists, exp[log a + log b] = a * b; None above the limit."""
+        return (self._exp, self._log) if self._ensure_tables() else None
 
     def mul_raw(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

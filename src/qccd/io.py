@@ -8,12 +8,15 @@ element codes.
 
 Quasi-cyclic code files: first line "q m ell r", then r generator lines,
 each with ell coefficient lists separated by "|".
+
+Code lengths n and m*ell above ``lincode.MAX_LENGTH`` are refused from the
+header, before anything is built.
 """
 from __future__ import annotations
 
 from .errors import LengthMismatch, QccdError
 from .field import FiniteField, field_from_order
-from .lincode import LinearCode
+from .lincode import MAX_LENGTH, LinearCode
 from .polyring import Poly
 from .qc import QcCode
 
@@ -51,8 +54,8 @@ def parse_code(text: str) -> LinearCode:
         q, n, k = (int(x) for x in head)
     except ValueError as e:
         raise ParseError(f"bad header {lines[0]!r}") from e
-    if n < 1:
-        raise ParseError(f"n must be at least 1 in header {lines[0]!r}")
+    if not 1 <= n <= MAX_LENGTH:
+        raise ParseError(f"n must be between 1 and {MAX_LENGTH} in header {lines[0]!r}")
     if len(lines) != 1 + k:
         raise ParseError(f"expected {k} rows, got {len(lines) - 1}")
     field = field_from_order(q)
@@ -87,8 +90,8 @@ def parse_qc(text: str) -> QcCode:
         q, m, ell, r = (int(x) for x in head)
     except ValueError as e:
         raise ParseError(f"bad header {lines[0]!r}") from e
-    if m < 1 or ell < 1:
-        raise ParseError(f"m and ell must be at least 1 in header {lines[0]!r}")
+    if m < 1 or ell < 1 or m * ell > MAX_LENGTH:
+        raise ParseError(f"need m, ell >= 1 and m*ell <= {MAX_LENGTH} in header {lines[0]!r}")
     if len(lines) != 1 + r:
         raise ParseError(f"expected {r} generator lines, got {len(lines) - 1}")
     field = field_from_order(q)

@@ -88,11 +88,10 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly.zero(F)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        d = len(other.coeffs)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = F.add_raw(out[i + j], F.mul_raw(a, b))
+                out[i:i + d] = F.row_sub_raw(out[i:i + d], F.neg_raw(a), other.coeffs)
         return Poly(F, out)
 
     def scale(self, c: int) -> "Poly":
@@ -118,8 +117,7 @@ class Poly:
             shift = len(rem) - 1 - db
             if c:
                 q[shift] = c
-                for j in range(db + 1):
-                    rem[shift + j] = F.sub_raw(rem[shift + j], F.mul_raw(c, other.coeffs[j]))
+                rem[shift:] = F.row_sub_raw(rem[shift:], c, other.coeffs)
             rem.pop()
             while rem and rem[-1] == 0:
                 rem.pop()
@@ -339,11 +337,7 @@ def factor_xm_minus_1(base: FiniteField, m: int) -> FactorProfile:
         for i in coset:
             root = xi_pows[i]
             # multiply (current) by (x - root)
-            new = [0] * (len(poly) + 1)
-            for d, c in enumerate(poly):
-                new[d + 1] = splitting.add_raw(new[d + 1], c)
-                new[d] = splitting.sub_raw(new[d], splitting.mul_raw(c, root))
-            poly = new
+            poly = splitting.row_sub_raw([0] + poly, root, poly + [0])
         try:
             base_coeffs = [retract[c] for c in poly]
         except KeyError:

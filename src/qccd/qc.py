@@ -24,7 +24,7 @@ from .errors import (
     SubfieldViolation,
 )
 from .field import FieldElement, FiniteField
-from .lincode import LinearCode, min_weight
+from .lincode import LinearCode, min_weight, rref
 from .polyring import FactorProfile, Poly, factor_xm_minus_1, poly_xgcd, xm_minus_one
 
 
@@ -166,41 +166,6 @@ def _idempotent(profile: FactorProfile, factor_index: int) -> Poly:
     return (beta * other).reduce_mod_xm(profile.m)
 
 
-def _solve_prime(A: list[list[int]], ys: list[list[int]], p: int) -> list[list[int]]:
-    """Solve A x = y mod p for each y (A with full column rank)."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    aug = [A[i] + [y[i] for y in ys] for i in range(rows)]
-    width = cols + len(ys)
-    r = 0
-    pivots = []
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c] % p), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) != cols:
-        raise SubfieldViolation("target vector is not in the expected subfield span")
-    for i in range(r, rows):
-        if any(aug[i][cols:]):
-            raise SubfieldViolation("inconsistent subfield interpolation system")
-    sols = []
-    for t in range(len(ys)):
-        x = [0] * cols
-        for i, c in enumerate(pivots):
-            x[c] = aug[i][cols + t]
-        sols.append(x)
-    return sols
-
-
 @lru_cache(maxsize=None)
 def _interp_matrix(profile: FactorProfile, exp: int, degree: int) -> list[list[int]]:
     """Prime-field matrix of (c_0..c_{d-1}) over F_q  ->  sum c_t xi^{exp*t},
@@ -225,10 +190,17 @@ def _interpolate_slot(profile: FactorProfile, exp: int, degree: int, values: lis
     taking that value at xi^exp."""
     base, S = profile.base, profile.splitting
     A = _interp_matrix(profile, exp, degree)
+    cols = len(A[0])
     ys = [S.to_digits(v) for v in values]
-    sols = _solve_prime([list(r) for r in A], ys, base.p)
+    # A x = y over GF(p) for every y at once, as the rref of [A | y_1 ... y_r]
+    # in base, whose codes 0..p-1 are its prime field
+    reduced, pivots = rref(base, [a + [y[i] for y in ys] for i, a in enumerate(A)])
+    if pivots[:cols] != list(range(cols)):
+        raise SubfieldViolation("target vector is not in the expected subfield span")
+    if len(pivots) > cols:
+        raise SubfieldViolation("inconsistent subfield interpolation system")
     polys = []
-    for x in sols:
+    for x in list(zip(*reduced))[cols:]:  # one solution per y
         coeffs = [
             base.from_digits(x[t * base.k : (t + 1) * base.k]) for t in range(degree)
         ]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import qccd.construct as cc
 from qccd.cli import main
+from qccd.lincode import MAX_LENGTH
 
 DATA_DC_M5 = "2 5 2 1\n1|1,1,0,1\n"
 
@@ -414,3 +415,52 @@ def test_malformed_code_file_is_an_input_error(text, command):
         code, out, err = _run_on_text(tmpdir, text, command, *flags)
     assert (code, err) == (2, ""), (text, out)
     assert set(json.loads(out)) == {"error", "message"}
+
+
+# -- length cap ----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cyclic-check", "--q", "2", "--ell", "200000", "--g", "1"),
+        ("cyclic-check", "--q", "2", "--ell", "511", "--g", "1,1"),
+        ("factor", "--q", "2", "--m", "1048575"),
+        ("dc-search", "--q", "2", "--m", "65", "--seed", "1", "--trials", "1"),
+    ],
+)
+def test_lengths_above_cap_rejected(capsys, argv):
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload["error"] == "InvalidParameter"
+    assert f"at most {MAX_LENGTH}" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("qc-check", "2 1048575 2 0\n"),
+        ("qc-constituents", "2 33 2 0\n"),
+        ("qc-jensen", "3 1 65 0\n"),
+        ("extend-hermitian", "4 50000000 0\n"),
+        ("descend", "4 65 0\n"),
+    ],
+)
+def test_file_lengths_above_cap_rejected(tmp_path, capsys, command, text):
+    f = tmp_path / "long.txt"
+    f.write_text(text)
+    argv = ["--q", "2"] if command == "descend" else []
+    code, payload = run_json(capsys, command, "--in", str(f), *argv)
+    assert code == 2
+    assert payload["error"] == "ParseError"
+
+
+def test_descended_length_capped(tmp_path, capsys):
+    # [40, 0] over GF(4) is within the cap; descended to GF(2) it has length 80
+    f = tmp_path / "wide.code"
+    f.write_text("4 40 0\n")
+    code, payload = run_json(capsys, "descend", "--in", str(f), "--q", "2")
+    assert code == 2
+    assert payload["error"] == "InvalidParameter"
+    f.write_text("4 32 0\n")
+    code, payload = run_json(capsys, "descend", "--in", str(f), "--q", "2")
+    assert code == 0 and payload["params"]["n"] == 64

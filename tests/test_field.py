@@ -1,4 +1,5 @@
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -184,3 +185,63 @@ def test_fields_pickle():
 def test_division_roundtrip_gf16(a, b):
     x, y = FieldElement(F16, a), FieldElement(F16, b)
     assert (x / y) * y == x
+
+
+# ---------------------------------------------------------------------------
+# table kernels: Zech addition and the row operation
+# ---------------------------------------------------------------------------
+
+def digit_sub(F, x, y):
+    """x - y by the base-p digit formula."""
+    p = F.p
+    return sum((x // p**i - y // p**i) % p * p**i for i in range(F.k))
+
+
+def digit_add(F, x, y):
+    return digit_sub(F, x, digit_sub(F, 0, y))
+
+
+def row_reference(F, xs, c, ys):
+    return [digit_sub(F, x, F.mul_raw(c, y)) for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 3), (3, 4)])
+def test_zech_kernels_match_digit_formula_on_every_pair(p, k):
+    F = make_field(p, k)
+    q = F.order
+    xs = [x for x in range(q) for _ in range(q)]
+    ys = list(range(q)) * q
+    for x, y in zip(xs, ys):
+        assert F.add_raw(x, y) == digit_add(F, x, y)
+        assert F.sub_raw(x, y) == digit_sub(F, x, y)
+    assert [F.neg_raw(x) for x in range(q)] == [digit_sub(F, 0, x) for x in range(q)]
+    rng = random.Random(q)
+    for c in {0, 1, p - 1, F.primitive_element_raw(), rng.randrange(q), rng.randrange(q)}:
+        assert F.row_sub_raw(xs, c, ys) == row_reference(F, xs, c, ys), c
+
+
+@pytest.mark.parametrize("p, k", [(3, 6), (3, 10)])
+def test_zech_kernels_match_digit_formula_on_seeded_pairs(p, k):
+    F = make_field(p, k)
+    rng = random.Random(k)
+    xs = [rng.randrange(F.order) for _ in range(3000)] + [0, 0, 5, 7]
+    ys = [rng.randrange(F.order) for _ in range(3000)] + [0, 4, 0, 7]
+    for x, y in zip(xs, ys):
+        assert F.add_raw(x, y) == digit_add(F, x, y)
+        assert F.sub_raw(x, y) == digit_sub(F, x, y)
+        assert F.neg_raw(x) == digit_sub(F, 0, x)
+    for c in (0, 1, F.neg_raw(1), rng.randrange(1, F.order)):
+        assert F.row_sub_raw(xs, c, ys) == row_reference(F, xs, c, ys), c
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 4), (2, 17), (3, 11)])
+def test_row_op_matches_digit_formula(p, k):
+    # GF(2^17) and GF(3^11) are above the table limit: the per-element path
+    F = make_field(p, k)
+    rng = random.Random(p * 100 + k)
+    xs = [rng.randrange(F.order) for _ in range(200)] + [0, 0, 1]
+    ys = [rng.randrange(F.order) for _ in range(200)] + [0, 1, 0]
+    cs = range(F.order) if F.order <= 16 else [0, 1, F.neg_raw(1)] + rng.sample(range(F.order), 5)
+    for c in cs:
+        assert F.row_sub_raw(xs, c, ys) == row_reference(F, xs, c, ys), c
+    assert (F.tables() is None) == (F.order > 1 << 16)

@@ -78,3 +78,17 @@ def test_qc_errors():
         parse_qc("2 5 2 1\n1\n")  # wrong number of blocks
     with pytest.raises(ParseError):
         parse_qc("2 5 2 2\n1|1\n")  # generator count mismatch
+
+
+def test_length_cap_is_checked_from_the_header():
+    from qccd.lincode import MAX_LENGTH
+
+    assert parse_code(f"4 {MAX_LENGTH} 0\n").n == MAX_LENGTH
+    C = parse_qc(f"2 {MAX_LENGTH // 2} 2 0\n")
+    assert C.m * C.ell == MAX_LENGTH
+    for text in (f"4 {MAX_LENGTH + 1} 0\n", "4 50000000 0\n", "4 50000000 1\n0\n"):
+        with pytest.raises(ParseError, match="between 1 and"):
+            parse_code(text)
+    for text in (f"2 {MAX_LENGTH // 2 + 1} 2 0\n", "2 1048575 2 0\n", f"2 1 {MAX_LENGTH + 1} 0\n"):
+        with pytest.raises(ParseError, match="m\\*ell <="):
+            parse_qc(text)

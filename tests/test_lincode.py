@@ -337,3 +337,62 @@ def test_macwilliams_identity(field, n, seed):
     q = field.order
     for j in range(n + 1):
         assert sum(a * lc._krawtchouk(j, i, n, q) for i, a in enumerate(A)) == q**C.k * B[j]
+
+
+# ---------------------------------------------------------------------------
+# table kernels: row multiples and rref against per-element references
+# ---------------------------------------------------------------------------
+
+F3_11 = make_field(3, 11)  # above the table limit
+
+
+@pytest.mark.parametrize("field,scalars", [
+    (F2, None), (F3, None), (F4, None), (F9, None), (F16, roots_of(F16, 4)),
+    (F729, None), (F729, roots_of(F729, 3)), (F729, roots_of(F729, 9)),
+    (F5, (0, 1, 4)), (F9, range(1, 9)), (F3_11, (0, 1, 2, 5, 177146)),
+])
+def test_row_multiples_match_mul_raw(field, scalars):
+    rng = random.Random(field.order)
+    scalars = list(range(field.order) if scalars is None else scalars)
+    for shape in ((3, 5), (2, 3, 4)):
+        R = np.array([rng.randrange(field.order) for _ in range(np.prod(shape))]).reshape(shape)
+        R.flat[0] = 0
+        got = lc._row_multiples(field, R, scalars)
+        assert got.shape == (len(scalars),) + shape
+        for s, M in zip(scalars, got):
+            assert M.ravel().tolist() == [field.mul_raw(s, x) for x in R.ravel().tolist()]
+
+
+def reference_rref(field, rows):
+    """rref by per-element field calls: the elimination the row operation
+    replaces."""
+    rows = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.inv_raw(rows[r][c])
+        rows[r] = [field.mul_raw(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [field.sub_raw(x, field.mul_raw(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F9, F16, F729, F3_11])
+def test_rref_matches_per_element_reference(field):
+    rng = random.Random(field.order + 7)
+    for _ in range(12):
+        k, n = rng.randrange(1, 7), rng.randrange(1, 9)
+        rows = raw_rows(rng, field, n, k)  # a zero row and a dependent row
+        if k >= 4:
+            s, t = rng.randrange(field.order), rng.randrange(field.order)
+            rows[1] = [field.add_raw(field.mul_raw(s, x), field.mul_raw(t, y))
+                       for x, y in zip(rows[2], rows[3])]
+        assert rref(field, rows) == reference_rref(field, rows)
+    assert rref(field, []) == ([], [])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from qccd.errors import (
     SlotNotAPair,
     SlotNotSelfReciprocal,
 )
-from qccd.field import make_field
+from qccd.field import field_from_order, make_field
 from qccd.lincode import LinearCode
 from qccd.polyring import Poly, factor_xm_minus_1
 from qccd.qc import (
@@ -244,3 +245,48 @@ def test_twod_cyclic_rejects_nonreversible():
     full = LinearCode.from_rows(S, ell, [[1 if i == j else 0 for j in range(ell)] for i in range(ell)])
     with pytest.raises(PreconditionViolation):
         twod_cyclic_lcd(ConstituentSet(profile, ell, (part, full), ()))
+
+
+# ---------------------------------------------------------------------------
+# interpolation refusals and extension-field bases
+# ---------------------------------------------------------------------------
+
+def test_interpolate_slot_refusals():
+    from qccd.errors import SubfieldViolation
+
+    profile = factor_xm_minus_1(F2, 7)  # splitting GF(8); slot x + 1 at u = 0
+    assert qcmod._interpolate_slot(profile, 0, 1, [1, 0]) == [Poly.one(F2), Poly.zero(F2)]
+    # degree 3 at xi^0 = 1: the columns 1, 1, 1 are dependent
+    with pytest.raises(SubfieldViolation, match="span"):
+        qcmod._interpolate_slot(profile, 0, 3, [1])
+    # raw 2 (a generator of GF(8)) is not in GF(2)
+    with pytest.raises(SubfieldViolation, match="inconsistent"):
+        qcmod._interpolate_slot(profile, 0, 1, [2])
+
+
+EXT_GRID = [
+    (q, m, ell) for q in (4, 9) for m in (3, 5, 7) for ell in (2, 3, 4) if math.gcd(m, q) == 1
+]
+
+
+def extension_codes(count, seed=20261018):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        q, m, ell = EXT_GRID[rng.randrange(len(EXT_GRID))]
+        out.append(random_qc(rng, field_from_order(q), m, ell, rng.randrange(1, 3)))
+    return out
+
+
+EXT_CODES = extension_codes(24)
+
+
+def test_extension_bases_certify_roundtrip_and_dimension():
+    assert {C.base.order for C in EXT_CODES} == {4, 9}
+    for C in EXT_CODES:
+        lin = C.expand()
+        verdict, _ = is_qccd(C)
+        assert verdict == (lin.hull_dim("euclidean") == 0), C
+        cs = constituents(C)
+        assert cs.fq_dimension() == lin.k, C
+        assert from_constituents(cs).expand() == lin, C
