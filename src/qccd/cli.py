@@ -45,10 +45,6 @@ def _try_distance(C: LinearCode):
         return None
 
 
-def _poly_json(p) -> str:
-    return io.format_poly(p)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -63,13 +59,13 @@ def cmd_factor(args) -> int:
         "s": profile.s,
         "t": profile.t,
         "self_reciprocal": [
-            {"factor": _poly_json(g), "degree": g.degree, "coset_leader": u}
+            {"factor": io.format_poly(g), "degree": g.degree, "coset_leader": u}
             for g, u in profile.self_recip
         ],
         "pairs": [
             {
-                "factor": _poly_json(h),
-                "reciprocal": _poly_json(hstar),
+                "factor": io.format_poly(h),
+                "reciprocal": io.format_poly(hstar),
                 "degree": h.degree,
                 "coset_leader": v,
             }
@@ -90,7 +86,7 @@ def cmd_cyclic_check(args) -> int:
         "command": "cyclic-check",
         "q": args.q,
         "ell": args.ell,
-        "g": _poly_json(C.g),
+        "g": io.format_poly(C.g),
         "form": args.form,
         "params": {"n": lin.n, "k": lin.k, "d": _try_distance(lin) if lin.k else None},
         "verdict": verdict,

@@ -25,16 +25,7 @@ from .errors import (
     TooLargeToEnumerate,
 )
 from .field import FieldElement, FiniteField, field_from_order, make_field
-from .lincode import (
-    _CHUNK,
-    ENUM_CAP,
-    LinearCode,
-    _popcount,
-    _row_multiples,
-    _span_weights_gf2,
-    _vadd,
-    rref,
-)
+from .lincode import ENUM_CAP, LinearCode, bz_min_distance
 from .polyring import Poly, poly_gcd, xm_minus_one
 from .qc import QcCode
 
@@ -155,119 +146,11 @@ def _dc_lcd_gf2(a: int, m: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _subsets(m: int, w: int) -> np.ndarray:
-    """The w-subsets of range(m) as the columns of a (w, C(m, w)) index
-    array."""
-    return np.array(list(itertools.combinations(range(m), w)), dtype=np.intp).reshape(-1, w).T
-
-
-@lru_cache(maxsize=None)
-def _bz_depth(m: int) -> int:
-    """Largest w for which the sums of at most w rows of two m-row
-    generator matrices number at most 2^m."""
-    visited, w = 0, 0
-    while w < m and visited + 2 * math.comb(m, w + 1) <= 1 << m:
-        w += 1
-        visited += 2 * math.comb(m, w)
-    return w
-
-
-def _dc_distance_gf2(a: int, m: int) -> int:
-    """Minimum distance of <(1, a)> over GF(2), by a Brouwer-Zimmermann
-    search on two generator matrices with disjoint information sets.
-
-    G1 = [I | circ(a)] is systematic on the left half.  G2 is G1 reduced
-    with pivots in the right half, where it has rank r2 = m - deg gcd(a,
-    x^m - 1); its other m - r2 rows vanish on the right half.  Once every
-    sum of at most w rows of G1 and of G2 is seen, an unseen codeword has
-    more than w ones on the left half and at least w + 1 - (m - r2) on the
-    pivot columns of the right half, so the search stops when that bound
-    reaches the lightest codeword seen.  If it has not stopped when the next
-    w would take the sums visited past 2^m, the whole code is enumerated.
-    Codewords are 2m-bit masks, left half in the low bits.
-    """
-    if 2 * m > 63:
-        raise TooLargeToEnumerate(f"codewords of length {2 * m} exceed a 64-bit mask")
-    mask = (1 << m) - 1
-    g1 = [(1 << i) | ((((a << i) | (a >> (m - i))) & mask) << m) for i in range(m)]
-    g2 = list(g1)
-    r2 = 0
-    for col in range(m, 2 * m):
-        bit = 1 << col
-        piv = next((i for i in range(r2, m) if g2[i] & bit), None)
-        if piv is None:
-            continue
-        g2[r2], g2[piv] = g2[piv], g2[r2]
-        for i in range(m):
-            if i != r2 and g2[i] & bit:
-                g2[i] ^= g2[r2]
-        r2 += 1
-    rows = np.array([g1, g2], dtype=np.int64)
-    best = 2 * m
-    for w in range(1, _bz_depth(m) + 1):
-        idx = _subsets(m, w)
-        words = rows[:, idx[0]]
-        for t in idx[1:]:
-            words ^= rows[:, t]
-        best = min(best, int(_popcount(words).min()))
-        if w + 1 + max(0, w + 1 - (m - r2)) >= best:
-            return best
-    if 1 << m > ENUM_CAP:
-        raise TooLargeToEnumerate(f"2^{m} codewords exceed the enumeration cap")
-    return int(_span_weights_gf2(g1)[1:].min())
-
-
-def _dc_distance(base: FiniteField, m: int, a: list[int]) -> int:
-    """Minimum distance of <(1, a)> over GF(q), a given as m raw coefficient
-    codes, low degree first: the search of ``_dc_distance_gf2`` on raw
-    codes.
-
-    A codeword whose coefficient vector has support w is a scalar multiple
-    of one whose first nonzero coefficient is 1, so C(m, w) (q - 1)^(w - 1)
-    sums of w rows of each matrix stand for all of them (``_row_sums``).
-    G2 is G1 reduced by ``rref`` with the right-half columns first; weights
-    do not depend on column order, so G2 stays in that order.  For a != 0,
-    r2 >= 1 and the bound reaches the Singleton bound m + 1 by w = m - 1
-    (a = 0 stops at w = 1), so the search needs no fallback.  It may visit
-    up to 2 (q^m - 1)/(q - 1) sums, so q^m above ``ENUM_CAP`` is refused
-    first, as ``LinearCode.min_distance`` refuses it.
-    """
-    q, n = base.order, 2 * m
-    if q**m > ENUM_CAP:
-        raise TooLargeToEnumerate(f"{q}^{m} codewords exceed the enumeration cap")
-    shift = np.arange(m)
-    circ = np.array(a, dtype=np.int64)[(shift[None, :] - shift[:, None]) % m]
-    g1 = np.hstack([np.eye(m, dtype=np.int64), circ])
-    g2, pivots = rref(base, np.hstack([circ, np.eye(m, dtype=np.int64)]).tolist())
-    r2 = sum(c < m for c in pivots)
-    # mults[j, i, s - 1] = s * (row i of matrix j)
-    mults = _row_multiples(base, np.array([g1, g2]), range(1, q)).transpose(1, 2, 0, 3)
-    best = n
-    for w in range(1, m + 1):
-        for words in _row_sums(base, mults, w):
-            best = min(best, int(np.count_nonzero(words, axis=-1).min()))
-        if w + 1 + max(0, w + 1 - (m - r2)) >= best:
-            break
-    return best
-
-
-def _row_sums(field: FiniteField, mults: np.ndarray, w: int):
-    """Every sum of w rows with first coefficient 1, for each matrix j,
-    from mults[j, i, s - 1] = s * (row i of matrix j): blocks of shape
-    (matrices, B, n) with at most ``_CHUNK`` words in all."""
-    q, m = field.order, mults.shape[1]
-    idx = _subsets(m, w)
-    per = (q - 1) ** (w - 1)
-    total, block = idx.shape[1] * per, max(1, _CHUNK // len(mults))
-    for start in range(0, total, block):
-        # flat index f: subset f // per, coefficients of rows 2..w the
-        # base-(q - 1) digits of f % per
-        subset, coef = np.divmod(np.arange(start, min(start + block, total)), per)
-        words = mults[:, idx[0, subset], 0]
-        for t in range(1, w):
-            words = _vadd(field, words, mults[:, idx[t, subset], coef % (q - 1)])
-            coef //= q - 1
-        yield words
+def _dc_positions(m: int) -> np.ndarray:
+    """G1 = [I | circ(a)] for <(1, a)> as indices into [0, 1, a_0, ...,
+    a_(m-1)]: row i is x^i (1, a(x))."""
+    i, j = np.ogrid[:m, :m]
+    return np.hstack([(i == j).astype(np.intp), 2 + (j - i) % m])
 
 
 def _dc_orbits(q: int, m: int) -> tuple[list[int], list[int]]:
@@ -299,19 +182,27 @@ def _dc_orbits(q: int, m: int) -> tuple[list[int], list[int]]:
 def _dc_scan(base: FiniteField, m: int, serials, weights):
     """(lcd_count, best_d, best_serial) over the serials in the given
     order: an LCD serial counts with its weight, and the first serial of
-    the largest distance wins."""
+    the largest distance wins.  The distance of an LCD serial comes from
+    ``bz_min_distance`` on G1 = [I | circ(a)], whose pivots are 0..m-1;
+    lengths 2m past a 64-bit mask over GF(2), and q^m above ``ENUM_CAP``
+    over other fields, are refused there."""
     q = base.order
     count, best_d, best_serial = 0, -1, -1
     for serial, weight in zip(serials, weights):
         if q == 2:
             if not _dc_lcd_gf2(serial, m):
                 continue
-            d = _dc_distance_gf2(serial, m)
+            if 2 * m > 63:
+                raise TooLargeToEnumerate(f"codewords of length {2 * m} exceed a 64-bit mask")
+            coeffs = _serial_to_coeffs(serial, q, m)
         else:
             coeffs = _serial_to_coeffs(serial, q, m)
             if not dc_is_lcd(base, m, Poly(base, coeffs)):
                 continue
-            d = _dc_distance(base, m, coeffs)
+            if q**m > ENUM_CAP:
+                raise TooLargeToEnumerate(f"{q}^{m} codewords exceed the enumeration cap")
+        g1 = np.array([0, 1] + coeffs, dtype=np.int64)[_dc_positions(m)]
+        d = bz_min_distance(base, g1, range(m))
         count += weight
         if d > best_d:
             best_d, best_serial = d, serial
@@ -351,13 +242,13 @@ def dc_search(
     twice in ``lcd_count``; over GF(2) it breaks ties toward the smallest
     serial, and with q > 2 it keeps the first tie in trial order.
 
-    The distance comes from a Brouwer-Zimmermann search on two
-    information sets, on bit masks over GF(2) (``_dc_distance_gf2``) and
-    on raw codes over other fields (``_dc_distance``); over GF(2) it
-    enumerates the whole code only when that is cheaper.  More than
-    ``SEARCH_CAP`` candidates or trials are refused.  ``workers`` splits
-    the candidates into contiguous chunks, so the report is identical for
-    any worker count; it is clamped to the CPUs and the candidates.
+    The distance comes from ``lincode.bz_min_distance``, the engine behind
+    ``LinearCode.min_distance``, given G1 = [I | circ(a)] with pivots
+    0..m-1, so G1 is never reduced; its further information sets lie in the
+    right half.  More than ``SEARCH_CAP`` candidates or trials are refused.
+    ``workers`` splits the candidates into contiguous chunks, so the report
+    is identical for any worker count; it is clamped to the CPUs and the
+    candidates.
     """
     if math.gcd(m, base.p) != 1:
         raise NotCoprime(f"characteristic {base.p} divides m={m}")

@@ -123,22 +123,12 @@ def is_lcd_cyclic(C: CyclicCode, form: str = "euclidean") -> bool:
     return primary
 
 
-def _reversal_closed(C: CyclicCode, conj_exp: int) -> bool:
-    lin = C.as_linear_code()
-    F = C.field
-    for row in lin.rows:
-        rev = [F.pow_raw(x, conj_exp) for x in reversed(row)]
-        if not lin.contains(rev):
-            return False
-    return True
-
-
 def is_reversible(C: CyclicCode) -> bool:
     """Closed under coordinate reversal; iff g is self-reciprocal."""
     if C.dim == 0 or C.dim == C.ell:
         return True
     poly_verdict = C.g == C.g.reciprocal()
-    sem_verdict = _reversal_closed(C, 1)
+    sem_verdict = C.as_linear_code().closed_under(range(C.ell - 1, -1, -1))
     if poly_verdict != sem_verdict:
         raise AssertionError("reversibility checks disagree")
     return poly_verdict
@@ -153,7 +143,7 @@ def is_conjugate_reversible(C: CyclicCode) -> bool:
     if C.dim == 0 or C.dim == C.ell:
         return True
     poly_verdict = C.g == C.g.conj_reciprocal()
-    sem_verdict = _reversal_closed(C, F.p ** (F.k // 2))
+    sem_verdict = C.as_linear_code().closed_under(range(C.ell - 1, -1, -1), F.p ** (F.k // 2))
     if poly_verdict != sem_verdict:
         raise AssertionError("conjugate-reversibility checks disagree")
     return poly_verdict

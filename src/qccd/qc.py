@@ -389,45 +389,30 @@ def build_self_single(profile: FactorProfile, self_index: int, C: LinearCode) ->
 # 2D cyclic assembly
 # ---------------------------------------------------------------------------
 
-def _is_shift_closed(part: LinearCode) -> bool:
-    for row in part.rows:
-        shifted = (row[-1],) + row[:-1]
-        if not part.contains(shifted):
-            return False
-    return True
-
-
-def _is_conj_reversal_closed(part: LinearCode, conj_exp: int) -> bool:
-    F = part.field
-    for row in part.rows:
-        rev = [F.pow_raw(x, conj_exp) for x in reversed(row)]
-        if not part.contains(rev):
-            return False
-    return True
-
-
 def twod_cyclic_lcd(cs: ConstituentSet) -> tuple[QcCode, bool]:
     """Assemble a 2D cyclic code from cyclic constituents that are
     (conjugate-)reversible, and certify LCD with the expanded hull oracle."""
     profile = cs.profile
     if math.gcd(cs.ell, profile.base.p) != 1:
         raise PreconditionViolation(f"characteristic {profile.base.p} divides ell={cs.ell}")
+    shift = [cs.ell - 1] + list(range(cs.ell - 1))
+    reversal = range(cs.ell - 1, -1, -1)
     for (g, u), part in zip(profile.self_recip, cs.self_parts):
         label = f"self slot u={u}"
         if part.k:
-            if not _is_shift_closed(part):
+            if not part.closed_under(shift):
                 raise PreconditionViolation(f"{label}: constituent is not cyclic")
             e = slot_conj_exp(profile.base, g.degree)
-            if not _is_conj_reversal_closed(part, e):
+            if not part.closed_under(reversal, e):
                 raise PreconditionViolation(f"{label}: constituent is not conjugate-reversible")
     for (h, _, v), (cp, cpp) in zip(profile.pairs, cs.pair_parts):
         label = f"pair slot v={v}"
         if cp != cpp:
             raise PreconditionViolation(f"{label}: paired constituents differ")
         if cp.k:
-            if not _is_shift_closed(cp):
+            if not cp.closed_under(shift):
                 raise PreconditionViolation(f"{label}: constituent is not cyclic")
-            if not _is_conj_reversal_closed(cp, 1):
+            if not cp.closed_under(reversal):
                 raise PreconditionViolation(f"{label}: constituent is not reversible")
     code = from_constituents(cs)
     lcd = code.expand().hull_dim("euclidean") == 0

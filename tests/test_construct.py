@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qccd.construct as cc
+import qccd.lincode as lc
 from qccd.construct import (
     DcSearchReport,
     dc_is_lcd,
@@ -28,7 +29,7 @@ from qccd.errors import (
     TooLargeToEnumerate,
 )
 from qccd.field import FieldElement, make_field
-from qccd.lincode import LinearCode, _row_multiples, _span_weights_gf2
+from qccd.lincode import LinearCode, _row_multiples, _span_weights_gf2, bz_min_distance, min_weight
 from qccd.polyring import Poly
 
 F2 = make_field(2, 1)
@@ -154,12 +155,34 @@ def test_dc_criterion_matches_hull_oracle_gf3(m):
         )
 
 
+def _dc_distance(base, m, a):
+    # the distance _dc_scan computes: the engine on G1 = [I | circ(a)]
+    g1 = np.array([0, 1] + list(a), dtype=np.int64)[cc._dc_positions(m)]
+    return bz_min_distance(base, g1, range(m))
+
+
+def _expanded_distance(base, m, a):
+    # full enumeration of the expanded code, independent of the engine
+    lin = double_circulant(base, m, Poly(base, a)).expand()
+    return min_weight(base, lin.rows, lin.n)
+
+
+@pytest.mark.parametrize("base, m", [(F2, 7), (F3, 5), (F4, 4)])
+def test_dc_generator_spans_the_double_circulant_code(base, m):
+    rng = random.Random(m)
+    for _ in range(10):
+        a = cc._serial_to_coeffs(rng.randrange(base.order**m), base.order, m)
+        g1 = np.array([0, 1] + a, dtype=np.int64)[cc._dc_positions(m)]
+        assert g1[:, :m].tolist() == np.eye(m, dtype=np.int64).tolist()
+        expanded = double_circulant(base, m, Poly(base, a)).expand()
+        assert LinearCode.from_rows(base, 2 * m, g1.tolist()) == expanded, a
+
+
 def test_gf2_fast_distance_agrees():
     for m in (5, 7):
         for serial in range(2**m):
-            a = Poly(F2, [(serial >> i) & 1 for i in range(m)])
-            expected = double_circulant(F2, m, a).expand().min_distance()
-            assert cc._dc_distance_gf2(serial, m) == expected
+            a = cc._serial_to_coeffs(serial, 2, m)
+            assert _dc_distance(F2, m, a) == _expanded_distance(F2, m, a)
 
 
 def _full_distance_gf2(a, m):
@@ -172,7 +195,7 @@ def _full_distance_gf2(a, m):
 def test_gf2_bz_distance_every_a():
     for m in range(1, 12):
         for a in range(2**m):
-            assert cc._dc_distance_gf2(a, m) == _full_distance_gf2(a, m), (m, a)
+            assert _dc_distance(F2, m, cc._serial_to_coeffs(a, 2, m)) == _full_distance_gf2(a, m), (m, a)
 
 
 @pytest.mark.parametrize("m", range(13, 22))
@@ -182,33 +205,13 @@ def test_gf2_bz_distance_seeded(m):
     # m - 1 with x^m - 1, so G2 has rank 0 and 1 on the right half
     cases = [0, (1 << m) - 1, 1 | 1 << (m - 1)] + [rng.randrange(2**m) for _ in range(4)]
     for a in cases:
-        assert cc._dc_distance_gf2(a, m) == _full_distance_gf2(a, m), (m, a)
-
-
-def test_gf2_bz_distance_fallback(monkeypatch):
-    monkeypatch.setattr(cc, "_bz_depth", lambda m: 0)
-    for a in (0, 5, 0b1011, 0b1111111):
-        assert cc._dc_distance_gf2(a, 7) == _full_distance_gf2(a, 7)
-    monkeypatch.setattr(cc, "ENUM_CAP", 1 << 6)
-    with pytest.raises(TooLargeToEnumerate):
-        cc._dc_distance_gf2(5, 7)
+        assert _dc_distance(F2, m, cc._serial_to_coeffs(a, 2, m)) == _full_distance_gf2(a, m), (m, a)
 
 
 def test_gf2_bz_distance_mask_width():
     # codewords of length 2m must fit a 64-bit mask
     with pytest.raises(TooLargeToEnumerate):
-        cc._dc_distance_gf2(3, 33)
-
-
-def test_bz_depth_bounds_the_search():
-    for m in range(1, 25):
-        w = cc._bz_depth(m)
-        assert 2 * sum(math.comb(m, v) for v in range(1, w + 1)) <= 2**m
-        assert w == m or 2 * sum(math.comb(m, v) for v in range(1, w + 2)) > 2**m
-
-
-def _expanded_distance(base, m, a):
-    return double_circulant(base, m, Poly(base, a)).expand().min_distance()
+        cc._dc_scan(F2, 33, [0], [1])
 
 
 @pytest.mark.parametrize("field, m_max", [(F3, 5), (F4, 5), (F5, 4), (F9, 3)])
@@ -217,7 +220,7 @@ def test_bz_distance_every_a(field, m_max):
     for m in range(1, m_max + 1):
         for serial in range(q**m):
             a = cc._serial_to_coeffs(serial, q, m)
-            assert cc._dc_distance(field, m, a) == _expanded_distance(field, m, a), (m, a)
+            assert _dc_distance(field, m, a) == _expanded_distance(field, m, a), (m, a)
 
 
 @pytest.mark.parametrize("field, m", [(F3, 7), (F3, 8), (F4, 7)])
@@ -229,19 +232,19 @@ def test_bz_distance_seeded(field, m):
         cc._serial_to_coeffs(rng.randrange(q**m), q, m) for _ in range(40)
     ]
     for a in cases:
-        assert cc._dc_distance(field, m, a) == _expanded_distance(field, m, a), a
+        assert _dc_distance(field, m, a) == _expanded_distance(field, m, a), a
 
 
 @pytest.mark.parametrize("field, m", [(F3, 5), (F4, 4), (F5, 3), (F9, 3)])
-@pytest.mark.parametrize("chunk", [cc._CHUNK, 4])
+@pytest.mark.parametrize("chunk", [lc._CHUNK, 4])
 def test_row_sums_visit_each_normalised_combination_once(monkeypatch, field, m, chunk):
     # rows of the identity: each sum is its own coefficient vector
-    monkeypatch.setattr(cc, "_CHUNK", chunk)
+    monkeypatch.setattr(lc, "_CHUNK", chunk)
     q = field.order
     eye = np.eye(m, dtype=np.int64)[None]
-    mults = _row_multiples(field, eye, range(1, q)).transpose(1, 2, 0, 3)
+    mults = _row_multiples(field, eye, range(1, q)).swapaxes(0, 1)
     for w in range(1, m + 1):
-        blocks = list(cc._row_sums(field, mults, w))
+        blocks = list(lc._row_sums(field, mults, w))
         assert all(b.shape[0] * b.shape[1] <= chunk for b in blocks)
         got = [tuple(v) for b in blocks for v in b[0].tolist()]
         expected = [
@@ -256,24 +259,24 @@ def test_bz_distance_needs_no_fallback(monkeypatch, field, m):
     # r2 >= 1 for a != 0, so the bound meets the Singleton bound m + 1 by
     # w = m - 1 and the search never runs to full depth
     depths = []
-    row_sums = cc._row_sums
+    row_sums = lc._row_sums
 
     def recording(f, mults, w):
         depths.append(w)
         return row_sums(f, mults, w)
 
-    monkeypatch.setattr(cc, "_row_sums", recording)
+    monkeypatch.setattr(lc, "_row_sums", recording)
     for serial in range(field.order**m):
         a = cc._serial_to_coeffs(serial, field.order, m)
         depths.clear()
-        cc._dc_distance(field, m, a)
+        _dc_distance(field, m, a)
         assert max(depths) <= max(1, m - 1), a
 
 
 def test_bz_distance_refuses_large_codes():
     # 3^16 > ENUM_CAP; a = 0 would otherwise end at w = 1
     with pytest.raises(TooLargeToEnumerate):
-        cc._dc_distance(F3, 16, [0] * 16)
+        cc._dc_scan(F3, 16, [0], [1])
     with pytest.raises(TooLargeToEnumerate):
         double_circulant(F3, 16, Poly.zero(F3)).expand().min_distance()
 
@@ -292,7 +295,7 @@ def _reference_scan(base, m, serials, mode="exhaustive"):
             a = Poly(base, cc._serial_to_coeffs(serial, q, m))
             if not dc_is_lcd(base, m, a):
                 continue
-            d = double_circulant(base, m, a).expand().min_distance()
+            d = _expanded_distance(base, m, a.coeffs)
         count += 1
         if d > best_d or (d == best_d and serial < best_serial):
             best_d, best_serial = d, serial
@@ -357,7 +360,7 @@ def test_dc_search_reports_smallest_tie():
     for s in range(r.best_serial):
         a = Poly(F2, [(s >> i) & 1 for i in range(5)])
         if dc_is_lcd(F2, 5, a):
-            assert double_circulant(F2, 5, a).expand().min_distance() < r.best_distance
+            assert _expanded_distance(F2, 5, a.coeffs) < r.best_distance
 
 
 def test_dc_search_workers_deterministic():
@@ -393,7 +396,7 @@ def test_dc_search_generic_field():
         a = Poly(F3, [(s // 3**i) % 3 for i in range(4)])
         if dc_is_lcd(F3, 4, a):
             count += 1
-            best = max(best, double_circulant(F3, 4, a).expand().min_distance())
+            best = max(best, _expanded_distance(F3, 4, a.coeffs))
     assert (r.best_distance, r.lcd_count) == (best, count)
 
 
@@ -420,7 +423,7 @@ def test_dc_search_random_mode_ties_and_repeats():
     assert serials.index(4770) < serials.index(926)
     a = Poly(F3, cc._serial_to_coeffs(926, 3, 8))
     assert dc_is_lcd(F3, 8, a)
-    assert double_circulant(F3, 8, a).expand().min_distance() == 6
+    assert _expanded_distance(F3, 8, a.coeffs) == 6
     # lcd_count counts trials, so repeated serials count more than once
     F4 = make_field(2, 2)
     r = dc_search(F4, 7, mode="random", seed=3, trials=120)

@@ -396,3 +396,98 @@ def test_rref_matches_per_element_reference(field):
                        for x, y in zip(rows[2], rows[3])]
         assert rref(field, rows) == reference_rref(field, rows)
     assert rref(field, []) == ([], [])
+
+
+# ---------------------------------------------------------------------------
+# Brouwer-Zimmermann engine against full enumeration
+# ---------------------------------------------------------------------------
+
+def record_ranks(monkeypatch):
+    """(ranks, k) of every bound the engine evaluates."""
+    seen, bound = [], lc._bz_bound
+
+    def recording(ranks, k, w):
+        seen.append((tuple(ranks), k))
+        return bound(ranks, k, w)
+
+    monkeypatch.setattr(lc, "_bz_bound", recording)
+    return seen
+
+
+@pytest.mark.parametrize("field,kmax,nmax", [
+    (F2, 9, 12), (F3, 6, 9), (F4, 5, 8), (F5, 4, 7), (F9, 3, 6),
+])
+def test_bz_engine_matches_weight_distribution(monkeypatch, field, kmax, nmax):
+    seen = record_ranks(monkeypatch)
+    rng = random.Random(field.order * 101)
+    for trial in range(60):
+        n = rng.randrange(1, nmax + 1)
+        rows = raw_rows(rng, field, n, rng.randrange(1, kmax + 1))  # zero, dependent rows
+        if trial % 2:
+            # repeated columns leave later information sets partial
+            extra = [rng.randrange(n) for _ in range(rng.randrange(1, n + 1))]
+            rows = [r + [r[c] for c in extra] for r in rows]
+        width = len(rows[0])
+        C = LinearCode.from_rows(field, width, rows)
+        if C.k == 0:
+            continue
+        d = min_weight(field, rows, width)
+        assert lc.bz_min_distance(field, C.rows, C.pivot_cols) == d, (rows, C.pivot_cols)
+        assert C.min_distance() == d  # engine for k <= n - k, dual otherwise
+    # some codes reached a partial information set (r_j < k) after the first
+    assert any(len(ranks) > 1 and min(ranks[1:]) < k for ranks, k in seen)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F9])
+def test_bz_engine_whole_space(field):
+    # k = n: no column is left for a second information set
+    rng = random.Random(field.order)
+    for n in (1, 2, 5):
+        rows = raw_rows(rng, field, n, n + 2)
+        rows[:n] = [[rng.randrange(1, field.order) if i == j else 0 for j in range(n)]
+                    for i in range(n)]
+        C = LinearCode.from_rows(field, n, rows)
+        assert C.k == n
+        assert lc.bz_min_distance(field, C.rows, C.pivot_cols) == 1 == min_weight(field, rows, n)
+
+
+@pytest.mark.parametrize("n,packed", [(63, True), (64, False)])
+def test_bz_engine_binary_mask_width(monkeypatch, n, packed):
+    # 63 columns fit an int64 bit mask; length 64 runs on raw codes
+    calls, reduce_gf2 = [], lc._reduce_gf2
+    monkeypatch.setattr(lc, "_reduce_gf2", lambda *args: calls.append(1) or reduce_gf2(*args))
+    rng = random.Random(n)
+    for k in (3, 6, 9):
+        rows = raw_rows(rng, F2, n, k)
+        C = LinearCode.from_rows(F2, n, rows)
+        assert lc.bz_min_distance(F2, C.rows, C.pivot_cols) == min_weight(F2, rows, n)
+        assert C.min_distance() == min_weight(F2, rows, n)
+    assert bool(calls) == packed
+
+
+@pytest.mark.parametrize("field,b,c", [
+    (F2, [1, 1, 0, 0], [0, 1, 1, 1]),  # bit masks
+    (F3, [1, 1, 1, 0], [0, 0, 1, 1]),  # raw codes
+])
+def test_bz_bound_counts_only_the_new_pivots(monkeypatch, field, b, c):
+    # G = [I_4 | b b c c]: the columns beside the identity have rank 2, so a
+    # later matrix adds max(0, w + 1 - 2) to the bound, not w + 1
+    rows = [[int(i == j) for j in range(4)] + [b[i], b[i], c[i], c[i]] for i in range(4)]
+    seen = record_ranks(monkeypatch)
+    assert lc.bz_min_distance(field, rows, range(4)) == min_weight(field, rows, 8) == 2
+    assert seen[-1] == ((4, 2, 2), 4)
+    # the stronger bound stops at w = 1, where the lightest word seen weighs 3
+    monkeypatch.setattr(lc, "_bz_bound", lambda ranks, k, w: len(ranks) * (w + 1))
+    assert lc.bz_min_distance(field, rows, range(4)) == 3
+
+
+def test_closed_under_permutation_and_frobenius():
+    hamming = LinearCode.from_rows(F2, 7, [[1, 1, 0, 1, 0, 0, 0][-i:] + [1, 1, 0, 1, 0, 0, 0][:-i]
+                                           for i in range(4)])
+    assert hamming.closed_under([6, 0, 1, 2, 3, 4, 5])  # cyclic shift
+    assert not hamming.closed_under(range(6, -1, -1))  # 1 + x + x^3 is not self-reciprocal
+    # <(1, w)> over GF(4) maps to (w^2, 1) = w^2 (1, w) under swap + squaring
+    C = LinearCode.from_rows(F4, 2, [[1, 2]])
+    assert C.closed_under([1, 0], 2)
+    assert not C.closed_under([1, 0])
+    assert not C.closed_under([0, 1], 2)
