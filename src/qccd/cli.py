@@ -162,10 +162,10 @@ def cmd_qc_constituents(args) -> int:
     }
     agreement = True
     if not args.no_oracle:
-        k = C.expand().k
-        payload["expanded_dimension"] = k
-        agreement = k == cs.fq_dimension()
-        roundtrip = qc.from_constituents(cs).expand() == C.expand()
+        lin = C.expand()
+        payload["expanded_dimension"] = lin.k
+        agreement = lin.k == cs.fq_dimension()
+        roundtrip = qc.from_constituents(cs).expand() == lin
         payload["roundtrip"] = roundtrip
         agreement = agreement and roundtrip
     payload["oracle_agreement"] = agreement

@@ -4,7 +4,6 @@ ell = ell0 * p^e."""
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 
 from .errors import NotADivisor, NotSquareOrderField

@@ -137,9 +137,6 @@ class FiniteField:
     def __repr__(self):
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
 
-    def serialize(self) -> str:
-        return f"{self.p}^{self.k}:" + ",".join(str(c) for c in self.modulus)
-
     # -- digit encoding ----------------------------------------------------
     def to_digits(self, a: int) -> list[int]:
         p = self.p

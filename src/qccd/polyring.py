@@ -233,24 +233,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, u, v) monic with u*a + v*b = g."""
-    a._check(b)
-    F = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(F), Poly.zero(F)
-    t0, t1 = Poly.zero(F), Poly.one(F)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lead_inv = F.inv_raw(r0.coeffs[-1])
-    return r0.scale(lead_inv), s0.scale(lead_inv), t0.scale(lead_inv)
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic cosets and the factorization of x^m - 1
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 A QC code is held by generator tuples in R^ell.  The constituent
 decomposition evaluates the generators at powers of a primitive m-th root
 of unity and spans over the attached subfield; the inverse direction
-rebuilds generator tuples through the idempotent of each factor.  All
-constituent linear algebra is carried out inside the splitting field, with
-subfield membership asserted after every reduction.
+rebuilds generator tuples by the trace formula of Ling & Sole ("On the
+algebraic structure of quasi-cyclic codes I: finite fields", IEEE Trans.
+IT 47, 2001), a closed form in the primitive idempotents of the splitting
+field.  All constituent linear algebra is carried out inside the
+splitting field, with subfield membership asserted after every reduction.
 """
 from __future__ import annotations
 
@@ -23,9 +25,9 @@ from .errors import (
     SlotNotSelfReciprocal,
     SubfieldViolation,
 )
-from .field import FieldElement, FiniteField
-from .lincode import LinearCode, min_weight, rref
-from .polyring import FactorProfile, Poly, factor_xm_minus_1, poly_xgcd, xm_minus_one
+from .field import FiniteField
+from .lincode import LinearCode, min_weight
+from .polyring import FactorProfile, Poly, factor_xm_minus_1, xm_minus_one
 
 
 @dataclass(frozen=True)
@@ -154,85 +156,55 @@ def constituents(C: QcCode) -> ConstituentSet:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _idempotent(profile: FactorProfile, factor_index: int) -> Poly:
-    """Polynomial that is 1 at the roots of the indexed factor and 0 at the
-    roots of every other factor of x^m - 1."""
-    factors = profile.all_factors()
-    f = factors[factor_index]
-    other = xm_minus_one(profile.base, profile.m) // f
-    g, alpha, beta = poly_xgcd(f, other)
-    if not g.is_one():
-        raise AssertionError("factors of x^m - 1 are not coprime")
-    return (beta * other).reduce_mod_xm(profile.m)
+def _idempotent(profile: FactorProfile, exp: int) -> tuple[int, ...]:
+    """Coefficients E_j = m^-1 xi^(-j*exp) of the primitive idempotent of
+    S[x]/(x^m - 1): 1 at xi^exp and 0 at every other m-th root of unity."""
+    S, m = profile.splitting, profile.m
+    m_inv = S.inv_raw(m % S.p)
+    return tuple(S.mul_raw(m_inv, S.pow_raw(profile.xi.raw, -j * exp)) for j in range(m))
 
 
 @lru_cache(maxsize=None)
-def _interp_matrix(profile: FactorProfile, exp: int, degree: int) -> list[list[int]]:
-    """Prime-field matrix of (c_0..c_{d-1}) over F_q  ->  sum c_t xi^{exp*t},
-    columns indexed by (t, base digit)."""
-    base, S = profile.base, profile.splitting
-    table, _ = S.embedding(base)
-    rho = S.pow_raw(profile.xi.raw, exp % profile.m) if profile.m > 1 else 1
-    rho_pows = [1]
-    for _ in range(degree - 1):
-        rho_pows.append(S.mul_raw(rho_pows[-1], rho))
-    cols = []
-    for t in range(degree):
-        for a in range(base.k):
-            unit = base.p**a
-            cols.append(S.to_digits(S.mul_raw(table[unit], rho_pows[t])))
-    # transpose to row-major
-    return [[col[r] for col in cols] for r in range(S.k)]
-
-
-def _interpolate_slot(profile: FactorProfile, exp: int, degree: int, values: list[int]) -> list[Poly]:
-    """For each raw splitting value, the F_q-polynomial of degree < degree
-    taking that value at xi^exp."""
-    base, S = profile.base, profile.splitting
-    A = _interp_matrix(profile, exp, degree)
-    cols = len(A[0])
-    ys = [S.to_digits(v) for v in values]
-    # A x = y over GF(p) for every y at once, as the rref of [A | y_1 ... y_r]
-    # in base, whose codes 0..p-1 are its prime field
-    reduced, pivots = rref(base, [a + [y[i] for y in ys] for i, a in enumerate(A)])
-    if pivots[:cols] != list(range(cols)):
-        raise SubfieldViolation("target vector is not in the expected subfield span")
-    if len(pivots) > cols:
-        raise SubfieldViolation("inconsistent subfield interpolation system")
-    polys = []
-    for x in list(zip(*reduced))[cols:]:  # one solution per y
-        coeffs = [
-            base.from_digits(x[t * base.k : (t + 1) * base.k]) for t in range(degree)
-        ]
-        polys.append(Poly(base, coeffs))
-    return polys
+def _interp_matrix(profile: FactorProfile, exp: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """W[j][t] = E_j^(q^t), so that Tr(c E_j) = sum_t c^(q^t) W[j][t]."""
+    S, q = profile.splitting, profile.base.order
+    return tuple(
+        tuple(S.pow_raw(e, q**t) for t in range(degree)) for e in _idempotent(profile, exp)
+    )
 
 
 def from_constituents(cs: ConstituentSet) -> QcCode:
-    """Inverse-CRT reconstruction: one generator tuple per basis vector of
-    each constituent, supported on that slot only."""
+    """Inverse CRT by the trace formula (Ling & Sole, IEEE Trans. IT 47,
+    2001): an entry c of the constituent at xi^e, of degree d, becomes the
+    block a_j = Tr_{F_{q^d}/F_q}(c E_j), j < m, with E_j the coefficients of
+    the idempotent at xi^e.  One generator tuple per basis vector of each
+    constituent, supported on that slot only."""
     profile = cs.profile
-    base = profile.base
-    m, ell = profile.m, cs.ell
+    base, S = profile.base, profile.splitting
+    m, q = profile.m, base.order
+    _, retract = S.embedding(base)
+    slots = [(u, g.degree, part) for (g, u), part in zip(profile.self_recip, cs.self_parts)]
+    for (h, _, v), (cp, cpp) in zip(profile.pairs, cs.pair_parts):
+        slots += [(v, h.degree, cp), ((-v) % m, h.degree, cpp)]
     gens = []
-
-    def add_slot(factor_index: int, exp: int, degree: int, part: LinearCode):
-        e_f = _idempotent(profile, factor_index)
+    for exp, degree, part in slots:
+        _assert_subfield(S, part.rows, q**degree)
+        W = _interp_matrix(profile, exp, degree)
         for row in part.rows:
-            cpolys = _interpolate_slot(profile, exp, degree, list(row))
-            gens.append(tuple(c.mul_mod_xm(e_f, m) for c in cpolys))
-
-    fidx = 0
-    for (g, u), part in zip(profile.self_recip, cs.self_parts):
-        add_slot(fidx, u, g.degree, part)
-        fidx += 1
-    for (h, hstar, v), (cp, cpp) in zip(profile.pairs, cs.pair_parts):
-        add_slot(fidx, v, h.degree, cp)
-        add_slot(fidx + 1, (-v) % m, hstar.degree, cpp)
-        fidx += 2
+            gen = []
+            for c in row:
+                conj = [S.pow_raw(c, q**t) for t in range(degree)]
+                coeffs = []
+                for w in W:
+                    acc = 0
+                    for x, y in zip(conj, w):
+                        acc = S.add_raw(acc, S.mul_raw(x, y))
+                    coeffs.append(retract[acc])
+                gen.append(Poly(base, coeffs))
+            gens.append(tuple(gen))
     if not gens:
-        gens = [tuple(Poly.zero(base) for _ in range(ell))]
-    return QcCode.make(base, m, ell, gens)
+        gens = [tuple(Poly.zero(base) for _ in range(cs.ell))]
+    return QcCode.make(base, m, cs.ell, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +216,6 @@ def dual_constituents(C: QcCode) -> ConstituentSet:
     self-reciprocal slots, crossed Euclidean duals in the pair slots."""
     cs = constituents(C)
     profile = cs.profile
-    S = profile.splitting
     self_parts = []
     for (g, _), part in zip(profile.self_recip, cs.self_parts):
         e = slot_conj_exp(profile.base, g.degree)
@@ -405,7 +376,7 @@ def twod_cyclic_lcd(cs: ConstituentSet) -> tuple[QcCode, bool]:
             e = slot_conj_exp(profile.base, g.degree)
             if not part.closed_under(reversal, e):
                 raise PreconditionViolation(f"{label}: constituent is not conjugate-reversible")
-    for (h, _, v), (cp, cpp) in zip(profile.pairs, cs.pair_parts):
+    for (_, _, v), (cp, cpp) in zip(profile.pairs, cs.pair_parts):
         label = f"pair slot v={v}"
         if cp != cpp:
             raise PreconditionViolation(f"{label}: paired constituents differ")

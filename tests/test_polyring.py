@@ -9,7 +9,6 @@ from qccd.polyring import (
     cyclotomic_cosets,
     factor_xm_minus_1,
     poly_gcd,
-    poly_xgcd,
     xm_minus_one,
 )
 
@@ -133,20 +132,6 @@ def test_xm_minus_one_needs_positive_m():
 
 def test_gcd_of_coprime_is_one():
     assert poly_gcd(P(F2, 1, 1), P(F2, 1, 1, 1)).degree == 0
-
-
-@settings(max_examples=40)
-@given(polys(F3, 4), polys(F3, 4), polys(F3, 3))
-def test_xgcd_bezout(a, b, c):
-    a, b = a * c, b * c  # force a common factor sometimes
-    if a.is_zero() and b.is_zero():
-        return
-    g, u, v = poly_xgcd(a, b)
-    assert u * a + v * b == g
-    if not a.is_zero():
-        assert g.divides(a)
-    if not b.is_zero():
-        assert g.divides(b)
 
 
 # ---------------------------------------------------------------------------

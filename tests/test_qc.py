@@ -11,6 +11,7 @@ from qccd.errors import (
     ShapeMismatch,
     SlotNotAPair,
     SlotNotSelfReciprocal,
+    SubfieldViolation,
 )
 from qccd.field import field_from_order, make_field
 from qccd.lincode import LinearCode
@@ -201,8 +202,6 @@ def test_build_self_single_rejects_odd_degree():
 def test_builder_requires_subfield_entries():
     profile = factor_xm_minus_1(F2, 15)  # splitting GF(16); cubic-pair? no:
     # m=15 over GF(2): factors of degree 1, 2, 4, 4, 4; slot subfields differ
-    from qccd.errors import SubfieldViolation
-
     S = profile.splitting
     # the degree-2 self-reciprocal slot lives in GF(4) inside GF(16)
     idx = next(i for i, (g, _) in enumerate(profile.self_recip) if g.degree == 2)
@@ -248,21 +247,8 @@ def test_twod_cyclic_rejects_nonreversible():
 
 
 # ---------------------------------------------------------------------------
-# interpolation refusals and extension-field bases
+# extension-field bases and the inverse CRT
 # ---------------------------------------------------------------------------
-
-def test_interpolate_slot_refusals():
-    from qccd.errors import SubfieldViolation
-
-    profile = factor_xm_minus_1(F2, 7)  # splitting GF(8); slot x + 1 at u = 0
-    assert qcmod._interpolate_slot(profile, 0, 1, [1, 0]) == [Poly.one(F2), Poly.zero(F2)]
-    # degree 3 at xi^0 = 1: the columns 1, 1, 1 are dependent
-    with pytest.raises(SubfieldViolation, match="span"):
-        qcmod._interpolate_slot(profile, 0, 3, [1])
-    # raw 2 (a generator of GF(8)) is not in GF(2)
-    with pytest.raises(SubfieldViolation, match="inconsistent"):
-        qcmod._interpolate_slot(profile, 0, 1, [2])
-
 
 EXT_GRID = [
     (q, m, ell) for q in (4, 9) for m in (3, 5, 7) for ell in (2, 3, 4) if math.gcd(m, q) == 1
@@ -290,3 +276,65 @@ def test_extension_bases_certify_roundtrip_and_dimension():
         cs = constituents(C)
         assert cs.fq_dimension() == lin.k, C
         assert from_constituents(cs).expand() == lin, C
+
+
+M1_CODES = [
+    random_qc(random.Random(q), field_from_order(q), 1, ell, 2)
+    for q in (2, 3, 4, 9)
+    for ell in (1, 3)
+]
+
+
+def _slots(cs):
+    """(root exponent, degree, constituent) in from_constituents order."""
+    profile = cs.profile
+    out = [(u, g.degree, part) for (g, u), part in zip(profile.self_recip, cs.self_parts)]
+    for (h, _, v), (cp, cpp) in zip(profile.pairs, cs.pair_parts):
+        out += [(v, h.degree, cp), ((-v) % profile.m, h.degree, cpp)]
+    return out
+
+
+def test_inverse_crt_evaluates_to_constituents():
+    # each generator takes its constituent entry at its slot root, the
+    # conjugates of that entry at the conjugate roots, and 0 at every other
+    # m-th root of unity
+    covered = {"self": 0, "pair": 0}
+    for C in CODES + EXT_CODES + M1_CODES:
+        cs = constituents(C)
+        profile = cs.profile
+        S, q, m = profile.splitting, C.base.order, C.m
+        gens = iter(from_constituents(cs).gens)
+        for idx, (exp, degree, part) in enumerate(_slots(cs)):
+            for row in part.rows:
+                gen = next(gens)
+                for a, c in zip(gen, row):
+                    expected = {exp * q**t % m: S.pow_raw(c, q**t) for t in range(degree)}
+                    for i in range(m):
+                        assert a.evaluate(profile.xi**i).raw == expected.get(i, 0), (C, exp, i)
+                covered["self" if idx < profile.s else "pair"] += 1
+    assert {C.m for C in M1_CODES} == {1}
+    assert covered["self"] and covered["pair"], covered
+
+
+def test_idempotent_is_primitive():
+    for q, m in ((2, 1), (2, 7), (3, 5), (4, 5), (9, 7), (2, 15)):
+        profile = factor_xm_minus_1(field_from_order(q), m)
+        S = profile.splitting
+        for e in range(m):
+            E = Poly(S, qcmod._idempotent(profile, e))
+            assert E.mul_mod_xm(E, m) == E, (q, m, e)
+            for i in range(m):
+                assert E.evaluate(profile.xi**i).raw == (1 if i == e else 0), (q, m, e, i)
+
+
+def test_from_constituents_refuses_entry_outside_subfield():
+    profile = factor_xm_minus_1(F2, 7)  # splitting GF(8); slot x + 1 at u = 0
+    S = profile.splitting
+    zero = LinearCode.from_rows(S, 2, [])
+    inside = ConstituentSet(profile, 2, (LinearCode.from_rows(S, 2, [[1, 0]]),), ((zero, zero),))
+    all_ones = Poly(F2, [1] * 7)
+    assert from_constituents(inside).gens == ((all_ones, Poly.zero(F2)),)
+    # raw 2 (a generator of GF(8)) is not in GF(2)
+    outside = ConstituentSet(profile, 2, (LinearCode.from_rows(S, 2, [[1, 2]]),), ((zero, zero),))
+    with pytest.raises(SubfieldViolation):
+        from_constituents(outside)
