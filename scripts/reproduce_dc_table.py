@@ -12,11 +12,11 @@ from qccd import dc_search, make_field
 from qccd.cli import DC_TABLE_REFERENCE
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--m-max", type=int, default=13)
     ap.add_argument("--workers", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     base = make_field(2, 1)
     ok = True

@@ -25,11 +25,12 @@ from .errors import (
     TooLargeToEnumerate,
 )
 from .field import FieldElement, FiniteField, field_from_order, make_field
-from .lincode import ENUM_CAP, LinearCode, bz_min_distance
+from .lincode import _CHUNK, ENUM_CAP, LinearCode, _gram, _rref_stack, bz_min_distance
 from .polyring import Poly, poly_gcd, xm_minus_one
 from .qc import QcCode
 
 SEARCH_CAP = 1 << 20
+_DC_BLOCK = 128  # candidates tested at once by _dc_scan
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,8 @@ def double_circulant(base: FiniteField, m: int, a: Poly) -> QcCode:
 
 
 def dc_is_lcd(base: FiniteField, m: int, a: Poly) -> bool:
-    """gcd(a(x) a(x^(m-1)) + 1, x^m - 1) = 1."""
+    """gcd(a(x) a(x^(m-1)) + 1, x^m - 1) = 1: the LCD criterion for
+    <(1, a)>, kept as the oracle of the search's Gram-rank test."""
     if math.gcd(m, base.p) != 1:
         raise NotCoprime(f"characteristic {base.p} divides m={m}")
     arev = a.substitute_power(m - 1, m)
@@ -180,32 +182,37 @@ def _dc_orbits(q: int, m: int) -> tuple[list[int], list[int]]:
 
 
 def _dc_scan(base: FiniteField, m: int, serials, weights):
-    """(lcd_count, best_d, best_serial) over the serials in the given
-    order: an LCD serial counts with its weight, and the first serial of
-    the largest distance wins.  The distance of an LCD serial comes from
-    ``bz_min_distance`` on G1 = [I | circ(a)], whose pivots are 0..m-1;
-    lengths 2m past a 64-bit mask over GF(2), and q^m above ``ENUM_CAP``
-    over other fields, are refused there."""
+    """(lcd_count, best_d, best_serial) over the serials in the given order,
+    up to ``_DC_BLOCK`` at a time: an LCD serial counts with its weight, and the
+    first serial of the largest distance wins.  Over q > 2, G1 = [I | circ(a)]
+    is LCD iff G1 G1^T is nonsingular (Massey).  One ``bz_min_distance`` call
+    on a block's LCD G1s (pivots 0..m-1) gives their distances; lengths 2m
+    past a 64-bit mask over GF(2), and q^m above ``ENUM_CAP``, are refused."""
     q = base.order
+    # the scalar multiples of a block, about (q - 1) m^2 entries a code, stay near _CHUNK
+    size = max(1, min(_DC_BLOCK, _CHUNK // ((q - 1) * m * m)))
     count, best_d, best_serial = 0, -1, -1
-    for serial, weight in zip(serials, weights):
+    for start in range(0, len(serials), size):
+        block = serials[start:start + size]
         if q == 2:
-            if not _dc_lcd_gf2(serial, m):
-                continue
-            if 2 * m > 63:
+            lcd = np.array([_dc_lcd_gf2(s, m) for s in block], dtype=bool)
+            if lcd.any() and 2 * m > 63:
                 raise TooLargeToEnumerate(f"codewords of length {2 * m} exceed a 64-bit mask")
-            coeffs = _serial_to_coeffs(serial, q, m)
-        else:
-            coeffs = _serial_to_coeffs(serial, q, m)
-            if not dc_is_lcd(base, m, Poly(base, coeffs)):
-                continue
-            if q**m > ENUM_CAP:
+            block = [s for s, keep in zip(block, lcd) if keep]
+        g1 = np.array([[0, 1] + _serial_to_coeffs(s, q, m) for s in block], dtype=np.int64)
+        g1 = g1.reshape(len(block), m + 2)[:, _dc_positions(m)]
+        if q > 2:
+            lcd = _rref_stack(base, _gram(base, g1))[1][:, -1] >= 0
+            if lcd.any() and q**m > ENUM_CAP:
                 raise TooLargeToEnumerate(f"{q}^{m} codewords exceed the enumeration cap")
-        g1 = np.array([0, 1] + coeffs, dtype=np.int64)[_dc_positions(m)]
+            block, g1 = [s for s, keep in zip(block, lcd) if keep], g1[lcd]
+        if not block:
+            continue
         d = bz_min_distance(base, g1, range(m))
-        count += weight
-        if d > best_d:
-            best_d, best_serial = d, serial
+        count += sum(w for w, keep in zip(weights[start:start + size], lcd) if keep)
+        i = int(d.argmax())  # the first of the block's largest distance
+        if d[i] > best_d:
+            best_d, best_serial = int(d[i]), block[i]
     return count, best_d, best_serial
 
 
@@ -242,10 +249,13 @@ def dc_search(
     twice in ``lcd_count``; over GF(2) it breaks ties toward the smallest
     serial, and with q > 2 it keeps the first tie in trial order.
 
-    The distance comes from ``lincode.bz_min_distance``, the engine behind
-    ``LinearCode.min_distance``, given G1 = [I | circ(a)] with pivots
-    0..m-1, so G1 is never reduced; its further information sets lie in the
-    right half.  More than ``SEARCH_CAP`` candidates or trials are refused.
+    Candidates are tested in blocks (``_dc_scan``): over q > 2 by the rank
+    of the Gram matrices of G1 = [I | circ(a)], with ``dc_is_lcd``, the gcd
+    criterion, as the oracle; over GF(2) by the gcd criterion on bit masks.
+    The distances come from ``lincode.bz_min_distance``, the engine behind
+    ``LinearCode.min_distance``, given the G1s with pivots 0..m-1, so G1 is
+    never reduced; further information sets lie in the right half.  More
+    than ``SEARCH_CAP`` candidates or trials are refused.
     ``workers`` splits the candidates into contiguous chunks, so the report
     is identical for any worker count; it is clamped to the CPUs and the
     candidates.

@@ -1,14 +1,15 @@
 """Linear codes by generator matrix over a finite field.
 
 Generator matrices are kept in canonical reduced row-echelon form, so code
-equality is a plain matrix comparison.  Every elimination (``rref``,
-``LinearCode.contains``) runs through the field's one row operation
-``FiniteField.row_sub_raw``, and the scalar multiples of rows come from one
-numpy index into the field's exp/log tables.
+equality is a plain matrix comparison.  Every elimination of one matrix
+(``rref``, ``LinearCode.contains``) runs through the field's one row
+operation ``FiniteField.row_sub_raw``; stacks of matrices are reduced whole
+in numpy (``_rref_stack``), as are their Gram matrices (``_gram``).
 
 Minimum distance is exact.  One Brouwer-Zimmermann engine,
-``bz_min_distance``, serves ``LinearCode.min_distance`` for k <= n - k and
-the double-circulant search; codes with k > n - k enumerate their dual.
+``bz_min_distance``, gives one distance per code of a stack: a stack of one
+for ``LinearCode.min_distance`` (k <= n - k), a block of candidates for the
+double-circulant search.  Codes with k > n - k enumerate their dual.
 
 Enumeration (``weight_distribution``) is projective: scalar multiples of a
 codeword share its weight, so one codeword per class of nonzero scalar
@@ -34,6 +35,7 @@ from .field import FiniteField
 
 ENUM_CAP = 1 << 24
 _CHUNK = 1 << 16
+_SUMS = 1 << 14  # entries per block of BZ row sums, 128 KB per array
 MAX_LENGTH = 64  # longest n, m, ell and m*ell taken from input: commands end in seconds
 
 
@@ -171,15 +173,9 @@ class LinearCode:
         return LinearCode.from_rows(F, self.n, rows)
 
     def gram(self, form: str = "euclidean", conj_exp: int | None = None) -> list[list[int]]:
-        F = self.field
         e = 1 if form == "euclidean" else self._conj_exp(conj_exp)
-        conj_rows = self.rows if e == 1 else [[F.pow_raw(x, e) for x in r] for r in self.rows]
-        G = []
-        for r in self.rows:
-            G.append([
-                _dot(F, r, cr) for cr in conj_rows
-            ])
-        return G
+        rows = np.array(self.rows, dtype=np.int64).reshape(1, self.k, self.n)
+        return _gram(self.field, rows, e)[0].tolist()
 
     def hull_dim(self, form: str = "euclidean", conj_exp: int | None = None) -> int:
         """dim(C ∩ C^dual) for the Euclidean or Hermitian form, as the rank
@@ -229,20 +225,12 @@ class LinearCode:
                 f"min(q^k, q^(n-k)) = {q}^{small} exceeds the enumeration cap"
             )
         if k <= n - k:
-            d = bz_min_distance(self.field, self.rows, self.pivot_cols)
+            d = int(bz_min_distance(self.field, [self.rows], self.pivot_cols)[0])
         else:
             dual_dist = weight_distribution(self.field, self.dual().rows, n)
             d = _min_weight_from_dual(dual_dist, n, q)
         self._dmin = d
         return d
-
-
-def _dot(F, a, b):
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = F.add_raw(acc, F.mul_raw(x, y))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +251,23 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mod(A: np.ndarray, p: int) -> np.ndarray:
+    """A mod p in place (A fresh): numpy divides ~3x faster than it takes a remainder."""
+    A -= A // p * p
+    return A
+
+
 def _vadd(field: FiniteField, A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vectorized field addition of raw codes (broadcasting)."""
     p = field.p
     if p == 2:
         return np.bitwise_xor(A, b)
     if field.k == 1:
-        return (A + b) % p
+        return _mod(A + b, p)
     out = np.zeros(np.broadcast_shapes(A.shape, b.shape), dtype=A.dtype)
     for i in range(field.k):
         pi = p**i
-        out += (((A // pi) + (b // pi)) % p) * pi
+        out += _mod((A // pi) + (b // pi), p) * pi
     return out
 
 
@@ -302,22 +296,73 @@ def _check_scalars(field: FiniteField, scalars) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _np_tables(field: FiniteField):
+    """(EXP, LOG) with EXP[LOG[a] + LOG[b]] = a b for all a, b: LOG[0] points into zeros."""
     tables = field.tables()
-    return None if tables is None else tuple(np.array(t, dtype=np.int64) for t in tables)
+    if tables is None:
+        return None
+    n = field.order - 1
+    EXP = np.zeros(4 * n + 1, dtype=np.int64)
+    EXP[:2 * n - 1] = tables[0][:2 * n - 1]
+    return EXP, np.array([2 * n] + tables[1][1:], dtype=np.int64)
+
+
+def _vmul(field: FiniteField, A: np.ndarray, B: np.ndarray, e: int = 1) -> np.ndarray:
+    """A B^e entrywise on raw codes (e < 0 needs B nonzero), from the exp/log
+    tables (per element above their limit), or a b mod p over a prime field."""
+    if field.k == 1 and e == 1:
+        return _mod(A * B, field.p)
+    tables = _np_tables(field)
+    if tables is None:
+        mul = np.vectorize(lambda a, b: field.mul_raw(a, field.pow_raw(b, e)), otypes=[np.int64])
+        return mul(A, B)
+    EXP, LOG = tables
+    if e == 1:
+        return EXP[LOG[A] + LOG[B]]
+    return np.where(B == 0, 0, EXP[LOG[A] + LOG[B] * e % (field.order - 1)])
 
 
 def _row_multiples(field: FiniteField, R: np.ndarray, scalars) -> np.ndarray:
-    """s * R for every scalar s on a new first axis, from one fancy index
-    EXP[LOG[s] + LOG[R]] with zero factors masked.  Scalars vary fastest in
-    memory: spans built from them inherit it and enumerate ~1.4x faster."""
-    tables = _np_tables(field)
-    s, R = np.asarray(scalars, dtype=np.int64), R[..., None]
-    if tables is None:
-        out = np.vectorize(field.mul_raw, otypes=[np.int64])(s, R)
-    else:
-        EXP, LOG = tables
-        out = np.where((s == 0) | (R == 0), 0, EXP[LOG[s] + LOG[R]])
-    return np.moveaxis(out, -1, 0)
+    """s * R for every scalar s on a new first axis.  Scalars vary fastest
+    in memory: spans built from them inherit it and enumerate ~1.4x faster."""
+    s = np.asarray(scalars, dtype=np.int64)
+    return np.moveaxis(_vmul(field, s, R[..., None]), -1, 0)
+
+
+def _gram(field: FiniteField, stack, e: int = 1) -> np.ndarray:
+    """X conj(X)^T, conj(x) = x^e, for each X of a (B, k, n) stack."""
+    X, p = np.asarray(stack, dtype=np.int64), field.p
+    if field.k == 1:  # e = 1; integer products summed before one reduction
+        return _mod(X @ X.swapaxes(1, 2), p)
+    P = _vmul(field, X[:, :, None], X[:, None], e)
+    if p == 2:
+        return np.bitwise_xor.reduce(P, axis=-1)
+    # digit i of a sum is the sum of the digits i mod p
+    return sum(_mod(_mod(P // p**i, p).sum(axis=-1), p) * p**i for i in range(field.k))
+
+
+def _rref_stack(field: FiniteField, stack) -> tuple[np.ndarray, np.ndarray]:
+    """``rref`` of each matrix of a (B, k, n) stack of raw codes: the reduced
+    stack, zero rows last, and the (B, k) pivot columns, -1 past each rank.
+    Each matrix with a pivot in the column swaps it up and clears the rest."""
+    M = np.array(stack, dtype=np.int64)
+    B, k, n = M.shape
+    pivots, r = np.full((B, k), -1), np.zeros(B, dtype=np.int64)
+    for c in range(n):
+        if r.min(initial=k) == k:
+            break
+        free = (M[:, :, c] != 0) & (np.arange(k) >= r[:, None])
+        b = np.flatnonzero(free.any(axis=1))
+        if not b.size:
+            continue
+        rb, at = r[b], free[b].argmax(axis=1)
+        lead = M[b, at]
+        M[b, at] = M[b, rb]
+        M[b, rb] = lead = _vmul(field, lead, lead[:, c, None], -1)
+        f = _vmul(field, field.neg_raw(1), M[b, :, c])
+        f[np.arange(b.size), rb] = 0
+        M[b] = _vadd(field, M[b], _vmul(field, f[:, :, None], lead[:, None, :]))
+        pivots[b, rb], r[b] = c, rb + 1
+    return M, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +380,14 @@ def _subsets(k: int, w: int) -> np.ndarray:
 def _row_sums(field: FiniteField, mults: np.ndarray, w: int):
     """Every sum of w rows with first coefficient 1, for each matrix j,
     from mults[j, s - 1, i] = s * (row i of matrix j): blocks of shape
-    (matrices, B, ...) with at most ``_CHUNK`` words in all.  A row may be
+    (matrices, B, ...) with at most ``_SUMS`` entries in all.  A row may be
     an array of raw codes or, over GF(2), one bit mask."""
     q, k = field.order, mults.shape[2]
     # s * (row i) at (s - 1) k + i, gathered by np.take: ~4x faster than [:, idx]
     flat = mults.reshape(len(mults), k * (q - 1), *mults.shape[3:])
     idx = _subsets(k, w)
     per = (q - 1) ** (w - 1)
-    total, block = idx.shape[1] * per, max(1, _CHUNK // len(mults))
+    total, block = idx.shape[1] * per, max(1, _SUMS // flat[:, 0].size)
     for start in range(0, total, block):
         # flat index f: subset f // per, coefficients of rows 2..w the
         # base-(q - 1) digits of f % per, all 0 (coefficient 1) when per = 1
@@ -358,11 +403,12 @@ def _row_sums(field: FiniteField, mults: np.ndarray, w: int):
         yield words
 
 
-def _bz_bound(ranks, k: int, w: int) -> int:
-    """Least weight of a codeword that is no sum of at most w rows of any
-    matrix: it has at least w + 1 - (k - r_j) nonzeros on the r_j pivots
-    that matrix j alone has."""
-    return sum(max(0, w + 1 - (k - r)) for r in ranks)
+def _bz_bound(ranks, k: int, w) -> np.ndarray:
+    """Per code, from its row of (codes, sets) ranks and its depth w: the least
+    weight of a word that is no sum of at most w rows of any matrix.  It has
+    w + 1 - (k - r_j) nonzeros on the r_j pivots matrix j alone has."""
+    terms = np.add(ranks, np.subtract(w, k - 1)[..., None])
+    return np.add.reduce(np.maximum(terms, 0, out=terms), axis=-1)
 
 
 def _reduce_gf2(masks: list[int], cols: int) -> tuple[list[int], list[int]]:
@@ -379,55 +425,77 @@ def _reduce_gf2(masks: list[int], cols: int) -> tuple[list[int], list[int]]:
     return g, pivots
 
 
-def bz_min_distance(field: FiniteField, rows, pivots) -> int:
-    """Minimum distance of the span of a k x n generator whose columns at
-    ``pivots`` are the identity, by a Brouwer-Zimmermann search.
+def bz_min_distance(field: FiniteField, stack, pivots) -> np.ndarray:
+    """Minimum distance of each code of a (B, k, n) stack of generators that
+    are the identity at ``pivots``, by one Brouwer-Zimmermann search.
 
-    Matrix j > 1 is the generator reduced with the still-unused columns
-    first; r_j counts its new pivots there.  A set of rank r raises
-    ``_bz_bound`` only from w = k - r on, so the choice ends when, at the
-    best rank min(k, unused columns), the search would stop before that
-    anyway: the bound already reaches the lightest row, or k = 1.  For
-    w = 1, 2, ... the sums of w rows with first coefficient 1 stand for all
-    words of information weight w; the search stops when ``_bz_bound``
-    reaches the lightest word seen, and at w = k at the latest.
-
-    Binary codes with n <= 63 run on int64 bit masks (XOR, popcount) and
-    are reduced on them: ``rref`` of the lists costs more than the search.
+    Matrix j > 1 of a code is its generator reduced with its still-unused
+    columns first; r_j counts its new pivots there.  A set of rank r raises
+    ``_bz_bound`` only from w = k - r on, so a code stops taking sets when,
+    at the best rank min(k, unused columns), its search would stop before
+    that anyway: the bound already reaches its lightest row, or k = 1.
+    Codes with the same used columns are reduced together (``_rref_stack``,
+    or the list ``rref`` for a lone code, faster on one small matrix).  For
+    w = 1, 2, ... the sums of w rows with first coefficient 1 of each
+    matrix stand for all words of information weight w; a code stops when
+    its bound reaches the lightest word seen, and at w = k at the latest.
+    Binary codes with n <= 63 run on int64 bit masks (XOR, popcount).
     """
-    G = np.asarray(rows, dtype=np.int64)
-    k, n = G.shape
+    G = np.asarray(stack, dtype=np.int64)
+    codes, k, n = G.shape
     packed = field.order == 2 and n <= 63
     if packed:
         G, weigh = G @ (1 << np.arange(n, dtype=np.int64)), _popcount
     else:
         weigh = lambda words: np.count_nonzero(words, axis=-1)  # noqa: E731
-    best = int(weigh(G).min())
-    mats, ranks, used = [G], [k], set(pivots)
-    while True:
-        unused = [c for c in range(n) if c not in used]
-        if not unused or k == 1 or _bz_bound(ranks, k, k - min(k, len(unused)) - 1) >= best:
+    best = weigh(G).min(axis=1).astype(np.int64)
+    mats, owner, ranks = list(G), list(range(codes)), [[k] for _ in range(codes)]
+    used = [frozenset(pivots)] * codes
+    live = list(range(codes)) if k > 1 else []
+    while live:
+        live = [b for b in live if len(used[b]) < n]
+        if not live:
             break
-        if packed:
-            reduced, new = _reduce_gf2(G.tolist(), sum(1 << c for c in unused))
-        else:
-            order = unused + sorted(used)
-            reduced, piv = rref(field, G[:, order].tolist())
-            new = [order[c] for c in piv if c < len(unused)]
-        if not new:
-            break
-        mats.append(reduced)
-        ranks.append(len(new))
-        used.update(new)
-    if packed:
-        mults = np.array(mats)[:, None]
-    else:
-        mults = _row_multiples(field, np.array(mats), range(1, field.order)).swapaxes(0, 1)
+        depth = [k - min(k, n - len(used[b])) - 1 for b in live]  # before a set can add
+        go = _bz_bound([ranks[b] for b in live], k, depth) < best[live]
+        groups = {}
+        for b in np.array(live)[go].tolist():
+            groups.setdefault(used[b], []).append(b)
+        live = []
+        for cols, members in groups.items():
+            unused = [c for c in range(n) if c not in cols]
+            if packed:
+                mask = sum(1 << c for c in unused)
+                reduced, new = zip(*(_reduce_gf2(G[b].tolist(), mask) for b in members))
+            else:
+                order = unused + sorted(cols)
+                perm = G[members][:, :, order]
+                if len(members) == 1:
+                    reduced, piv = zip(rref(field, perm[0].tolist()))
+                else:
+                    reduced, piv = _rref_stack(field, perm)
+                piv = np.asarray(piv).tolist()
+                new = [[order[c] for c in p if 0 <= c < len(unused)] for p in piv]
+            for b, g, got in zip(members, reduced, new):
+                if got:
+                    mats.append(g)
+                    owner.append(b)
+                    ranks[b].append(len(got))
+                    used[b] = cols.union(got)
+                    live.append(b)
+    ranks = np.array(list(itertools.zip_longest(*ranks, fillvalue=0))).T  # 0: no set
+    mats, owner = np.array(mats, dtype=np.int64), np.array(owner)
+    scalars = np.arange(1, field.order)[:, None, None]  # s * matrix j at mults[j, s - 1]
+    mults = mats[:, None] if packed else _vmul(field, scalars, mats[:, None])
+    bounds = _bz_bound(ranks, k, np.arange(1, k + 1)[:, None])  # (w, code)
     for w in range(1, k + 1):
         for words in _row_sums(field, mults, w):
-            best = min(best, int(weigh(words).min()))
-        if _bz_bound(ranks, k, w) >= best:
+            np.minimum.at(best, owner, weigh(words).min(axis=1))
+        keep = (bounds[w - 1] < best)[owner]
+        if not keep.any():
             break
+        if not keep.all():
+            mults, owner = mults[keep], owner[keep]
     return best
 
 

@@ -158,7 +158,7 @@ def test_dc_criterion_matches_hull_oracle_gf3(m):
 def _dc_distance(base, m, a):
     # the distance _dc_scan computes: the engine on G1 = [I | circ(a)]
     g1 = np.array([0, 1] + list(a), dtype=np.int64)[cc._dc_positions(m)]
-    return bz_min_distance(base, g1, range(m))
+    return int(bz_min_distance(base, g1[None], range(m))[0])
 
 
 def _expanded_distance(base, m, a):
@@ -236,10 +236,10 @@ def test_bz_distance_seeded(field, m):
 
 
 @pytest.mark.parametrize("field, m", [(F3, 5), (F4, 4), (F5, 3), (F9, 3)])
-@pytest.mark.parametrize("chunk", [lc._CHUNK, 4])
+@pytest.mark.parametrize("chunk", [1 << 16, 4])
 def test_row_sums_visit_each_normalised_combination_once(monkeypatch, field, m, chunk):
     # rows of the identity: each sum is its own coefficient vector
-    monkeypatch.setattr(lc, "_CHUNK", chunk)
+    monkeypatch.setattr(lc, "_SUMS", chunk)
     q = field.order
     eye = np.eye(m, dtype=np.int64)[None]
     mults = _row_multiples(field, eye, range(1, q)).swapaxes(0, 1)
@@ -281,9 +281,9 @@ def test_bz_distance_refuses_large_codes():
         double_circulant(F3, 16, Poly.zero(F3)).expand().min_distance()
 
 
-def _reference_scan(base, m, serials, mode="exhaustive"):
+def _reference_scan(base, m, serials, mode="exhaustive", first_tie=False):
     # dc_search's report from a test of every serial given, ties broken
-    # toward the smallest serial
+    # toward the smallest serial or, with first_tie, the first one given
     q = base.order
     count, best_d, best_serial = 0, -1, -1
     for serial in serials:
@@ -297,7 +297,7 @@ def _reference_scan(base, m, serials, mode="exhaustive"):
                 continue
             d = _expanded_distance(base, m, a.coeffs)
         count += 1
-        if d > best_d or (d == best_d and serial < best_serial):
+        if d > best_d or (not first_tie and d == best_d and serial < best_serial):
             best_d, best_serial = d, serial
     return DcSearchReport(
         q=q, m=m, mode=mode, best_a=tuple(cc._serial_to_coeffs(best_serial, q, m)),
@@ -325,6 +325,69 @@ def test_dc_search_random_gf2_matches_reference_scan(m, trials, seed):
     assert dc_search(F2, m, mode="random", seed=seed, trials=trials) == replace(
         expected, seed=seed
     )
+
+
+@pytest.mark.parametrize(
+    "field, m",
+    [(F5, m) for m in (1, 2, 3, 4)] + [(make_field(7, 1), 3)] + [(F9, m) for m in (1, 2)],
+)
+def test_dc_search_odd_fields_match_reference_scan(field, m):
+    # Gram-rank LCD screen and stacked distances against the gcd criterion
+    # and full enumeration of every serial
+    assert dc_search(field, m) == _reference_scan(field, m, range(field.order**m))
+
+
+@pytest.mark.parametrize("block", [1, 3, cc._DC_BLOCK])
+@pytest.mark.parametrize("field, m, trials, seed", [(F4, 5, 40, 1), (F5, 4, 40, 1)])
+def test_dc_search_random_keeps_first_tie_across_blocks(monkeypatch, field, m, trials, seed, block):
+    monkeypatch.setattr(cc, "_DC_BLOCK", block)
+    serials = list(cc._random_serials(seed, trials, field.order**m))
+    first = _reference_scan(field, m, serials, mode="random", first_tie=True)
+    # a later trial reaches the same distance with a smaller serial
+    assert first.best_serial != _reference_scan(field, m, serials, mode="random").best_serial
+    got = dc_search(field, m, mode="random", seed=seed, trials=trials)
+    assert got == replace(first, seed=seed)
+
+
+@pytest.mark.parametrize("block", [1, 3, cc._DC_BLOCK])
+def test_dc_search_blocks_and_workers_give_one_report(monkeypatch, block):
+    monkeypatch.setattr(cc, "_DC_BLOCK", block)
+    drawn = list(cc._random_serials(1, 40, 4**5))
+    for field, m, kwargs, expected in [
+        (F2, 9, {}, _reference_scan(F2, 9, range(2**9))),
+        (F3, 5, {}, _reference_scan(F3, 5, range(3**5))),
+        (F4, 5, {"mode": "random", "seed": 1, "trials": 40},
+         replace(_reference_scan(F4, 5, drawn, "random", first_tie=True), seed=1)),
+    ]:
+        for workers in (1, 2, 3):
+            assert dc_search(field, m, workers=workers, **kwargs) == expected, (field, m, workers)
+
+
+def test_dc_scan_tests_blocks_not_candidates(monkeypatch):
+    # one Gram-rank screen and one engine call per block, no gcd criterion
+    engine_calls, gcd_calls = [], []
+    engine = cc.bz_min_distance
+    monkeypatch.setattr(cc, "bz_min_distance",
+                        lambda *args: engine_calls.append(1) or engine(*args))
+    monkeypatch.setattr(cc, "dc_is_lcd", lambda *args: gcd_calls.append(1))
+    monkeypatch.setattr(cc, "_DC_BLOCK", 50)
+    serials, sizes = cc._dc_orbits(3, 7)
+    cc._dc_scan(F3, 7, serials, sizes)
+    assert (len(engine_calls), gcd_calls) == (-(-len(serials) // 50), [])
+
+
+def test_dc_scan_blocks_shrink_with_the_field(monkeypatch):
+    # a block's scalar multiples, (q - 1) m^2 entries a code, stay within _CHUNK
+    stacks, engine = [], cc.bz_min_distance
+
+    def recording(field, stack, pivots):
+        stacks.append(len(stack))
+        return engine(field, stack, pivots)
+
+    monkeypatch.setattr(cc, "bz_min_distance", recording)
+    monkeypatch.setattr(cc, "_CHUNK", 5 * 4 * 3 * 3)  # five candidates of GF(5), m = 3
+    assert dc_search(F5, 3) == _reference_scan(F5, 3, range(5**3))
+    assert len(stacks) > 1 and max(stacks) <= 5
 
 
 @pytest.mark.parametrize("q, m", [(2, 9), (3, 5), (4, 3), (3, 4)])

@@ -398,16 +398,56 @@ def test_rref_matches_per_element_reference(field):
     assert rref(field, []) == ([], [])
 
 
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F9, F3_11])
+def test_rref_stack_matches_rref(field):
+    # each matrix of the stack reduced as rref reduces it alone
+    rng = random.Random(field.order + 11)
+    for k, n in [(1, 1), (1, 4), (3, 5), (4, 4), (6, 3), (5, 8), (7, 2)]:
+        stack = [raw_rows(rng, field, n, k) for _ in range(6)]  # zero, dependent rows
+        stack[1] = [[0] * n for _ in range(k)]
+        if k >= 2:
+            stack[2][-1] = list(stack[2][0])  # repeated row
+        R, pivots = lc._rref_stack(field, np.array(stack))
+        assert R.shape == (6, k, n) and pivots.shape == (6, k)
+        for rows, got, piv in zip(stack, R.tolist(), pivots.tolist()):
+            want, want_piv = rref(field, rows)
+            rank = len(want_piv)
+            assert (got[:rank], piv[:rank]) == (want, want_piv), rows
+            assert piv[rank:] == [-1] * (k - rank)
+            assert not any(map(any, got[rank:]))
+
+
+@pytest.mark.parametrize("field,form", [
+    (F2, "euclidean"), (F3, "euclidean"), (F5, "euclidean"), (F9, "euclidean"),
+    (F3_11, "euclidean"), (F4, "hermitian"), (F9, "hermitian"), (F16, "hermitian"),
+])
+def test_gram_matches_per_element_reference(field, form):
+    rng = random.Random(field.order + 3)
+    for k, n in [(1, 1), (3, 5), (4, 7), (2, 9)]:
+        C = random_code(rng, field, n, k)
+        e = 1 if form == "euclidean" else C._conj_exp(None)
+        want = []
+        for r in C.rows:
+            row = []
+            for s in C.rows:
+                acc = 0
+                for x, y in zip(r, s):
+                    acc = field.add_raw(acc, field.mul_raw(x, field.pow_raw(y, e)))
+                row.append(acc)
+            want.append(row)
+        assert C.gram(form) == want
+
+
 # ---------------------------------------------------------------------------
 # Brouwer-Zimmermann engine against full enumeration
 # ---------------------------------------------------------------------------
 
 def record_ranks(monkeypatch):
-    """(ranks, k) of every bound the engine evaluates."""
+    """(ranks, k) of every code in every bound the engine evaluates."""
     seen, bound = [], lc._bz_bound
 
     def recording(ranks, k, w):
-        seen.append((tuple(ranks), k))
+        seen.extend((tuple(r), k) for r in np.asarray(ranks).tolist())
         return bound(ranks, k, w)
 
     monkeypatch.setattr(lc, "_bz_bound", recording)
@@ -432,7 +472,7 @@ def test_bz_engine_matches_weight_distribution(monkeypatch, field, kmax, nmax):
         if C.k == 0:
             continue
         d = min_weight(field, rows, width)
-        assert lc.bz_min_distance(field, C.rows, C.pivot_cols) == d, (rows, C.pivot_cols)
+        assert lc.bz_min_distance(field, [C.rows], C.pivot_cols)[0] == d, (rows, C.pivot_cols)
         assert C.min_distance() == d  # engine for k <= n - k, dual otherwise
     # some codes reached a partial information set (r_j < k) after the first
     assert any(len(ranks) > 1 and min(ranks[1:]) < k for ranks, k in seen)
@@ -448,7 +488,8 @@ def test_bz_engine_whole_space(field):
                     for i in range(n)]
         C = LinearCode.from_rows(field, n, rows)
         assert C.k == n
-        assert lc.bz_min_distance(field, C.rows, C.pivot_cols) == 1 == min_weight(field, rows, n)
+        d = lc.bz_min_distance(field, [C.rows], C.pivot_cols)[0]
+        assert d == 1 == min_weight(field, rows, n)
 
 
 @pytest.mark.parametrize("n,packed", [(63, True), (64, False)])
@@ -460,9 +501,14 @@ def test_bz_engine_binary_mask_width(monkeypatch, n, packed):
     for k in (3, 6, 9):
         rows = raw_rows(rng, F2, n, k)
         C = LinearCode.from_rows(F2, n, rows)
-        assert lc.bz_min_distance(F2, C.rows, C.pivot_cols) == min_weight(F2, rows, n)
+        assert lc.bz_min_distance(F2, [C.rows], C.pivot_cols)[0] == min_weight(F2, rows, n)
         assert C.min_distance() == min_weight(F2, rows, n)
     assert bool(calls) == packed
+
+
+def stronger_bound(ranks, k, w):
+    """(w + 1) per set: too strong once a set has rank below k."""
+    return (np.asarray(ranks) > 0).sum(-1) * (np.asarray(w) + 1)
 
 
 @pytest.mark.parametrize("field,b,c", [
@@ -474,11 +520,61 @@ def test_bz_bound_counts_only_the_new_pivots(monkeypatch, field, b, c):
     # later matrix adds max(0, w + 1 - 2) to the bound, not w + 1
     rows = [[int(i == j) for j in range(4)] + [b[i], b[i], c[i], c[i]] for i in range(4)]
     seen = record_ranks(monkeypatch)
-    assert lc.bz_min_distance(field, rows, range(4)) == min_weight(field, rows, 8) == 2
+    assert lc.bz_min_distance(field, [rows], range(4))[0] == min_weight(field, rows, 8) == 2
     assert seen[-1] == ((4, 2, 2), 4)
     # the stronger bound stops at w = 1, where the lightest word seen weighs 3
-    monkeypatch.setattr(lc, "_bz_bound", lambda ranks, k, w: len(ranks) * (w + 1))
-    assert lc.bz_min_distance(field, rows, range(4)) == 3
+    monkeypatch.setattr(lc, "_bz_bound", stronger_bound)
+    assert lc.bz_min_distance(field, [rows], range(4))[0] == 3
+
+
+def systematic(field, p_rows):
+    """[I_k | P] from the rows of P."""
+    k = len(p_rows)
+    return [[int(i == j) for j in range(k)] + list(r) for i, r in enumerate(p_rows)]
+
+
+def ragged_stack(rng, field):
+    """[I_4 | P] codes needing 1, 2 and 3 information sets: P = 0 (the
+    double-circulant code a = 0), P = b b c c (ranks 4, 2, 2), random P."""
+    stack = [systematic(field, [[0] * 4] * 4)]
+    for _ in range(2):  # two, so the third sets are reduced as a stack too
+        b, c = ([rng.randrange(field.order) for _ in range(4)] for _ in range(2))
+        stack.append(systematic(field, [[b[i], b[i], c[i], c[i]] for i in range(4)]))
+    stack += [systematic(field, [[rng.randrange(field.order) for _ in range(4)] for _ in range(4)])
+              for _ in range(6)]
+    return stack
+
+
+@pytest.mark.parametrize("chunk", [lc._SUMS, 4])
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F9])
+def test_bz_engine_on_ragged_stacks(monkeypatch, field, chunk):
+    # one search over codes of 1, 2 and 3 information sets gives each code
+    # the distance it has alone and the one full enumeration gives
+    monkeypatch.setattr(lc, "_SUMS", chunk)
+    rng = random.Random(field.order * 7)
+    seen = record_ranks(monkeypatch)
+    for _ in range(3):
+        stack = ragged_stack(rng, field)
+        got = lc.bz_min_distance(field, stack, range(4)).tolist()
+        alone = [int(lc.bz_min_distance(field, [rows], range(4))[0]) for rows in stack]
+        assert got == alone == [min_weight(field, rows, 8) for rows in stack]
+    sets = {sum(r > 0 for r in ranks) for ranks, _ in seen}
+    assert {1, 2, 3} <= sets
+
+
+@pytest.mark.parametrize("field,b,c", [
+    (F2, [1, 1, 0, 0], [0, 1, 1, 1]),  # bit masks
+    (F3, [1, 1, 1, 0], [0, 0, 1, 1]),  # raw codes, stacked reduction
+])
+def test_bz_bound_counts_only_the_new_pivots_on_stacks(monkeypatch, field, b, c):
+    # the same [I_4 | b b c c] inside a stack of other codes
+    rows = systematic(field, [[b[i], b[i], c[i], c[i]] for i in range(4)])
+    stack = ragged_stack(random.Random(5), field)[3:6] + [rows]
+    want = [min_weight(field, g, 8) for g in stack]
+    assert want[-1] == 2
+    assert lc.bz_min_distance(field, stack, range(4)).tolist() == want
+    monkeypatch.setattr(lc, "_bz_bound", stronger_bound)
+    assert lc.bz_min_distance(field, stack, range(4))[-1] == 3
 
 
 def test_closed_under_permutation_and_frobenius():

@@ -15,3 +15,12 @@ def test_random_qc_audit_smoke(capsys):
     audit = load_script("random_qc_audit")
     assert audit.main(["--seed", "7", "--trials", "30"]) == 0
     assert "30 trials, all checks passed" in capsys.readouterr().out
+
+
+def test_reproduce_dc_table_smoke(capsys):
+    table = load_script("reproduce_dc_table")
+    assert table.main(["--m-max", "9"]) == 0
+    out = capsys.readouterr().out
+    assert "MISMATCH" not in out
+    rows = [line.split()[:2] for line in out.splitlines()[1:]]
+    assert rows == [["3", "1"], ["5", "3"], ["7", "4"], ["9", "3"]]
