@@ -35,7 +35,7 @@ from .field import FiniteField
 
 ENUM_CAP = 1 << 24
 _CHUNK = 1 << 16
-_SUMS = 1 << 14  # entries per block of BZ row sums, 128 KB per array
+_SUMS = 1 << 14  # entries per block of BZ row sums, 16 KB per array for q <= 128
 MAX_LENGTH = 64  # longest n, m, ell and m*ell taken from input: commands end in seconds
 
 
@@ -329,15 +329,21 @@ def _row_multiples(field: FiniteField, R: np.ndarray, scalars) -> np.ndarray:
 
 
 def _gram(field: FiniteField, stack, e: int = 1) -> np.ndarray:
-    """X conj(X)^T, conj(x) = x^e, for each X of a (B, k, n) stack."""
+    """X conj(X)^T, conj(x) = x^e, for each X of a (B, k, n) stack; over an
+    extension field the products are taken about ``_SUMS`` at a time."""
     X, p = np.asarray(stack, dtype=np.int64), field.p
     if field.k == 1:  # e = 1; integer products summed before one reduction
         return _mod(X @ X.swapaxes(1, 2), p)
-    P = _vmul(field, X[:, :, None], X[:, None], e)
-    if p == 2:
-        return np.bitwise_xor.reduce(P, axis=-1)
-    # digit i of a sum is the sum of the digits i mod p
-    return sum(_mod(_mod(P // p**i, p).sum(axis=-1), p) * p**i for i in range(field.k))
+    B, k, n = X.shape
+    step, parts = max(1, _SUMS // max(1, k * k * n)), []
+    for i in range(0, max(B, 1), step):
+        P = _vmul(field, X[i:i + step, :, None], X[i:i + step, None], e)
+        if p == 2:
+            parts.append(np.bitwise_xor.reduce(P, axis=-1))
+        else:  # digit d of a sum is the sum of the digits d mod p
+            parts.append(sum(_mod(_mod(P // p**d, p).sum(axis=-1), p) * p**d
+                             for d in range(field.k)))
+    return np.concatenate(parts)
 
 
 def _rref_stack(field: FiniteField, stack) -> tuple[np.ndarray, np.ndarray]:
@@ -425,6 +431,20 @@ def _reduce_gf2(masks: list[int], cols: int) -> tuple[list[int], list[int]]:
     return g, pivots
 
 
+def _multiples(field: FiniteField, mats) -> np.ndarray:
+    """mults[j, s - 1] = s * mats[j] for every nonzero scalar s, in the
+    narrowest unsigned type that holds the sum of two raw codes, so the
+    row sums built from it are a fraction of the int64 size.  Built about
+    ``_SUMS`` entries at a time: no int64 temporary of the whole."""
+    mats = np.array(mats, dtype=np.min_scalar_type(2 * field.order - 2))
+    scalars = np.arange(1, field.order)[:, None, None]
+    mults = np.empty((len(mats), field.order - 1, *mats.shape[1:]), dtype=mats.dtype)
+    step = max(1, _SUMS // max(1, mults[0].size))
+    for i in range(0, len(mats), step):
+        mults[i:i + step] = _vmul(field, scalars, mats[i:i + step, None])
+    return mults
+
+
 def bz_min_distance(field: FiniteField, stack, pivots) -> np.ndarray:
     """Minimum distance of each code of a (B, k, n) stack of generators that
     are the identity at ``pivots``, by one Brouwer-Zimmermann search.
@@ -439,7 +459,8 @@ def bz_min_distance(field: FiniteField, stack, pivots) -> np.ndarray:
     w = 1, 2, ... the sums of w rows with first coefficient 1 of each
     matrix stand for all words of information weight w; a code stops when
     its bound reaches the lightest word seen, and at w = k at the latest.
-    Binary codes with n <= 63 run on int64 bit masks (XOR, popcount).
+    Binary codes with n <= 63 run on int64 bit masks (XOR, popcount);
+    other row sums run in the narrow type of ``_multiples``.
     """
     G = np.asarray(stack, dtype=np.int64)
     codes, k, n = G.shape
@@ -484,9 +505,8 @@ def bz_min_distance(field: FiniteField, stack, pivots) -> np.ndarray:
                     used[b] = cols.union(got)
                     live.append(b)
     ranks = np.array(list(itertools.zip_longest(*ranks, fillvalue=0))).T  # 0: no set
-    mats, owner = np.array(mats, dtype=np.int64), np.array(owner)
-    scalars = np.arange(1, field.order)[:, None, None]  # s * matrix j at mults[j, s - 1]
-    mults = mats[:, None] if packed else _vmul(field, scalars, mats[:, None])
+    owner = np.array(owner)
+    mults = np.array(mats, dtype=np.int64)[:, None] if packed else _multiples(field, mats)
     bounds = _bz_bound(ranks, k, np.arange(1, k + 1)[:, None])  # (w, code)
     for w in range(1, k + 1):
         for words in _row_sums(field, mults, w):

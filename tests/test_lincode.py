@@ -438,6 +438,35 @@ def test_gram_matches_per_element_reference(field, form):
         assert C.gram(form) == want
 
 
+@pytest.mark.parametrize("field,e", [(F4, 2), (F9, 3), (F16, 4), (F729, 1)])
+def test_gram_stack_in_chunks(monkeypatch, field, e):
+    # a stack larger than one chunk of products gives every code its own Gram matrix
+    rng = random.Random(field.order + 5)
+    stack = np.array([raw_rows(rng, field, 6, 3) for _ in range(9)])
+    alone = [lc._gram(field, X[None], e)[0].tolist() for X in stack]
+    monkeypatch.setattr(lc, "_SUMS", 2 * 3 * 3 * 6)
+    assert lc._gram(field, stack, e).tolist() == alone
+
+
+F127, F131 = make_field(127, 1), make_field(131, 1)  # sums of two codes fill a byte / pass it
+
+
+@pytest.mark.parametrize("field,dtype", [
+    (F2, np.uint8), (F3, np.uint8), (F4, np.uint8), (F127, np.uint8), (F131, np.uint16),
+    (F729, np.uint16),
+])
+@pytest.mark.parametrize("chunk", [lc._SUMS, 5])
+def test_multiples_are_narrow_and_match_mul_raw(monkeypatch, field, dtype, chunk):
+    monkeypatch.setattr(lc, "_SUMS", chunk)
+    rng = random.Random(field.order)
+    mats = [raw_rows(rng, field, 4, 2) for _ in range(3)]
+    got = lc._multiples(field, mats)
+    assert got.dtype == dtype and got.shape == (3, field.order - 1, 2, 4)
+    for s in rng.sample(range(1, field.order), min(6, field.order - 1)):
+        want = [[[field.mul_raw(s, x) for x in r] for r in m] for m in mats]
+        assert got[:, s - 1].tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # Brouwer-Zimmermann engine against full enumeration
 # ---------------------------------------------------------------------------
@@ -560,6 +589,20 @@ def test_bz_engine_on_ragged_stacks(monkeypatch, field, chunk):
         assert got == alone == [min_weight(field, rows, 8) for rows in stack]
     sets = {sum(r > 0 for r in ranks) for ranks, _ in seen}
     assert {1, 2, 3} <= sets
+
+
+@pytest.mark.parametrize("field", [F127, F131])
+def test_bz_engine_at_the_narrow_type_limit(field):
+    # row sums of raw codes reach 2 (p - 1): 252 fits the bytes of GF(127);
+    # over GF(131) the last code's sums 128 + 128 and 127 + 129 would wrap to
+    # zero entries in a byte and give a word of weight 4 (d = 5)
+    rng = random.Random(field.order)
+    stack = [systematic(field, [[rng.randrange(field.order) for _ in range(4)] for _ in range(3)])
+             for _ in range(4)]
+    P = [[128, 127, 130, 127], [3, 3, 3, 2], [129, 127, 3, 126]]
+    stack.append(systematic(field, [[x % field.order for x in r] for r in P]))
+    got = lc.bz_min_distance(field, stack, range(3)).tolist()
+    assert got == [min_weight(field, rows, 7) for rows in stack]
 
 
 @pytest.mark.parametrize("field,b,c", [
