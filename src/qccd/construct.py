@@ -26,11 +26,13 @@ from .errors import (
 )
 from .field import FieldElement, FiniteField, field_from_order, make_field
 from .lincode import _CHUNK, ENUM_CAP, LinearCode, _gram, _rref_stack, bz_min_distance
+from .lincode import _popcount, _reduce_gf2_stack
 from .polyring import Poly, poly_gcd, xm_minus_one
 from .qc import QcCode
 
 SEARCH_CAP = 1 << 20
 _DC_BLOCK = 128  # candidates tested at once by _dc_scan
+_ORBIT_BATCH = 256  # unseen serials taken at once by _dc_orbits
 
 
 # ---------------------------------------------------------------------------
@@ -111,42 +113,6 @@ def _serial_to_coeffs(serial: int, q: int, m: int) -> list[int]:
     return [(serial // q**i) % q for i in range(m)]
 
 
-# GF(2) fast path: polynomials as bit masks, distances via packed codewords
-
-def _gcd_bits(a: int, b: int) -> int:
-    while b:
-        # a mod b on GF(2)[x] bit polynomials
-        db = b.bit_length()
-        while a.bit_length() >= db:
-            a ^= b << (a.bit_length() - db)
-        a, b = b, a
-    return a
-
-
-def _dc_lcd_gf2(a: int, m: int) -> bool:
-    mask = (1 << m) - 1
-    # a(x^(m-1)) mod x^m - 1: bit i -> bit (m - i) mod m
-    arev = a & 1
-    for i in range(1, m):
-        if (a >> i) & 1:
-            arev |= 1 << (m - i)
-    # carryless product folded mod x^m - 1
-    prod = 0
-    t = a
-    for i in range(m):
-        if (arev >> i) & 1:
-            prod ^= t
-        t <<= 1
-    folded = 0
-    while prod:
-        folded ^= prod & mask
-        prod >>= m
-    f = folded ^ 1
-    if f == 0:
-        return False
-    return _gcd_bits(f, (1 << m) | 1) == 1
-
-
 @lru_cache(maxsize=None)
 def _dc_positions(m: int) -> np.ndarray:
     """G1 = [I | circ(a)] for <(1, a)> as indices into [0, 1, a_0, ...,
@@ -159,33 +125,50 @@ def _dc_orbits(q: int, m: int) -> tuple[list[int], list[int]]:
     """Smallest serial and size of every orbit of a -> x^i a(x^j) mod
     x^m - 1, gcd(j, m) = 1, on the q^m serials, in increasing order.  Both
     maps permute the coordinates of <(1, a)>, so an orbit shares the LCD
-    property and the minimum distance."""
-    space, top = q**m, q ** (m - 1)
-    scales = [[q ** (i * j % m) for i in range(m)] for j in range(m) if math.gcd(j, m) == 1]
-    seen = bytearray(space)
+    property and the minimum distance.  The next ``_ORBIT_BATCH`` unseen
+    serials are taken at a time: their digits times a table of q-powers
+    (float64, exact below 2^53) give all m phi(m) images of each.  A serial
+    stands for its orbit iff it is the least of them, and the orbit's size
+    is m phi(m) over the number of images equal to it."""
+    i = np.arange(m)
+    space, powers = q**m, q**i  # coefficient i of a moves to j i + shift
+    table = np.hstack([q ** ((j * i[:, None] + i) % m)
+                       for j in range(m) if math.gcd(j, m) == 1]).astype(np.float64)
+    seen = np.zeros(space, dtype=bool)
     reps, sizes = [], []
-    s = 0
-    while s >= 0:
-        coeffs = _serial_to_coeffs(s, q, m)
-        size = 0
-        for scale in scales:
-            b = sum(c * z for c, z in zip(coeffs, scale))  # a(x^j)
-            for _ in range(m):
-                if not seen[b]:
-                    seen[b] = 1
-                    size += 1
-                b = b % top * q + b // top  # times x
-        reps.append(s)
-        sizes.append(size)
-        s = seen.find(0, s + 1)
+    lo, span = 0, _ORBIT_BATCH
+    while lo < space:
+        free = np.flatnonzero(~seen[lo:lo + span])
+        if free.size < _ORBIT_BATCH and lo + span < space:
+            span *= 2  # too few unseen serials here: look further
+            continue
+        s = lo + free[:_ORBIT_BATCH]
+        images = ((s[:, None] // powers % q).astype(np.float64) @ table).astype(np.int64)
+        rep = images.min(axis=1) == s
+        reps += s[rep].tolist()
+        sizes += (table.shape[1] // (images[rep] == s[rep, None]).sum(axis=1)).tolist()
+        seen[images] = True
+        lo = int(s[-1]) + 1 if s.size else space
     return reps, sizes
+
+
+def _dc_screen_gf2(serials, m: int) -> np.ndarray:
+    """Massey's LCD test on a block of binary serials, the bit masks of a:
+    the Gram matrix of [I | circ(a)] is circ(1 + a a*), whose first row has
+    bit j the parity of |a & x^j a|.  It is nonsingular iff
+    ``_reduce_gf2_stack`` finds a pivot in every row."""
+    a, j, full = np.asarray(serials, dtype=np.int64)[:, None], np.arange(m), (1 << m) - 1
+    times_x = lambda b: (b << j | b >> (m - j)) & full  # noqa: E731  x^j b mod x^m - 1, every j
+    first = (_popcount(a & times_x(a)) & 1).astype(np.int64) @ (1 << j) ^ 1
+    return _reduce_gf2_stack(times_x(first[:, None]), full)[1].all(axis=1)
 
 
 def _dc_scan(base: FiniteField, m: int, serials, weights):
     """(lcd_count, best_d, best_serial) over the serials in the given order,
     up to ``_DC_BLOCK`` at a time: an LCD serial counts with its weight, and the
-    first serial of the largest distance wins.  Over q > 2, G1 = [I | circ(a)]
-    is LCD iff G1 G1^T is nonsingular (Massey).  One ``bz_min_distance`` call
+    first serial of the largest distance wins.  G1 = [I | circ(a)] is LCD
+    iff G1 G1^T is nonsingular (Massey): one rank test of the block's Gram
+    matrices, on bit masks over GF(2).  One ``bz_min_distance`` call
     on a block's LCD G1s (pivots 0..m-1) gives their distances; lengths 2m
     past a 64-bit mask over GF(2), and q^m above ``ENUM_CAP``, are refused."""
     q = base.order
@@ -195,17 +178,19 @@ def _dc_scan(base: FiniteField, m: int, serials, weights):
     for start in range(0, len(serials), size):
         block = serials[start:start + size]
         if q == 2:
-            lcd = np.array([_dc_lcd_gf2(s, m) for s in block], dtype=bool)
+            lcd = _dc_screen_gf2(block, m)
             if lcd.any() and 2 * m > 63:
                 raise TooLargeToEnumerate(f"codewords of length {2 * m} exceed a 64-bit mask")
-            block = [s for s, keep in zip(block, lcd) if keep]
-        g1 = np.array([[0, 1] + _serial_to_coeffs(s, q, m) for s in block], dtype=np.int64)
+            block = list(itertools.compress(block, lcd))
+            g1 = (np.array(block, dtype=np.int64)[:, None] << 2 | 2) >> np.arange(m + 2) & 1
+        else:
+            g1 = np.array([[0, 1] + _serial_to_coeffs(s, q, m) for s in block], dtype=np.int64)
         g1 = g1.reshape(len(block), m + 2)[:, _dc_positions(m)]
         if q > 2:
             lcd = _rref_stack(base, _gram(base, g1))[1][:, -1] >= 0
             if lcd.any() and q**m > ENUM_CAP:
                 raise TooLargeToEnumerate(f"{q}^{m} codewords exceed the enumeration cap")
-            block, g1 = [s for s, keep in zip(block, lcd) if keep], g1[lcd]
+            block, g1 = list(itertools.compress(block, lcd)), g1[lcd]
         if not block:
             continue
         d = bz_min_distance(base, g1, range(m))
@@ -249,9 +234,9 @@ def dc_search(
     twice in ``lcd_count``; over GF(2) it breaks ties toward the smallest
     serial, and with q > 2 it keeps the first tie in trial order.
 
-    Candidates are tested in blocks (``_dc_scan``): over q > 2 by the rank
-    of the Gram matrices of G1 = [I | circ(a)], with ``dc_is_lcd``, the gcd
-    criterion, as the oracle; over GF(2) by the gcd criterion on bit masks.
+    Candidates are tested in blocks (``_dc_scan``) by the rank of the Gram
+    matrices of G1 = [I | circ(a)], on bit masks over GF(2), with
+    ``dc_is_lcd``, the gcd criterion, as the oracle.
     The distances come from ``lincode.bz_min_distance``, the engine behind
     ``LinearCode.min_distance``, given the G1s with pivots 0..m-1, so G1 is
     never reduced; further information sets lie in the right half.  More
@@ -353,16 +338,8 @@ def self_dual_basis(q: int, ell: int) -> SelfDualBasis:
         basis = [alpha]
         for _ in range(ell - 1):
             basis.append(big.pow_raw(basis[-1], q))
-        ok = True
-        for i in range(ell):
-            for j in range(i, ell):
-                t = tr(big.mul_raw(basis[i], basis[j]))
-                if t != (1 if i == j else 0):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(tr(big.mul_raw(basis[i], basis[j])) == (i == j)
+               for i in range(ell) for j in range(i, ell)):
             return SelfDualBasis(big, sub, tuple(FieldElement(big, b) for b in basis))
 
     # 2) DFS over orthonormal sets in canonical element order
@@ -398,12 +375,8 @@ def expand_subfield(C: LinearCode, B: SelfDualBasis) -> LinearCode:
     for row in C.rows:
         for beta in B.basis:
             scaled = [big.mul_raw(beta.raw, x) for x in row]
-            out = []
-            for z in scaled:
-                out.extend(
-                    big.trace_raw(big.mul_raw(z, b.raw), sub) for b in B.basis
-                )
-            rows.append(out)
+            rows.append([big.trace_raw(big.mul_raw(z, b.raw), sub)
+                         for z in scaled for b in B.basis])
     result = LinearCode.from_rows(sub, C.n * len(B.basis), rows)
     if result.k != C.k * len(B.basis):
         raise AssertionError("subfield image has unexpected dimension")

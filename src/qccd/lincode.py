@@ -431,6 +431,20 @@ def _reduce_gf2(masks: list[int], cols: int) -> tuple[list[int], list[int]]:
     return g, pivots
 
 
+def _reduce_gf2_stack(masks, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_reduce_gf2`` of each row of a (B, k) stack of bit masks, one numpy
+    step per row: the reduced stack and the (B, k) pivot bits, 0 for a row
+    with no bit inside cols at its turn."""
+    g = np.array(masks, dtype=np.int64)
+    bits = np.zeros_like(g)
+    for r in range(g.shape[1]):
+        row, low = g[:, r].copy(), g[:, r] & cols
+        bits[:, r] = bit = low & -low
+        g ^= np.where(g & bit[:, None], row[:, None], 0)
+        g[:, r] = row
+    return g, bits
+
+
 def _multiples(field: FiniteField, mats) -> np.ndarray:
     """mults[j, s - 1] = s * mats[j] for every nonzero scalar s, in the
     narrowest unsigned type that holds the sum of two raw codes, so the
@@ -487,7 +501,11 @@ def bz_min_distance(field: FiniteField, stack, pivots) -> np.ndarray:
             unused = [c for c in range(n) if c not in cols]
             if packed:
                 mask = sum(1 << c for c in unused)
-                reduced, new = zip(*(_reduce_gf2(G[b].tolist(), mask) for b in members))
+                if len(members) == 1:
+                    reduced, new = zip(_reduce_gf2(G[members[0]].tolist(), mask))
+                else:
+                    reduced, bits = _reduce_gf2_stack(G[members], mask)
+                    new = [[b.bit_length() - 1 for b in p if b] for p in bits.tolist()]
             else:
                 order = unused + sorted(cols)
                 perm = G[members][:, :, order]

@@ -59,16 +59,26 @@ class QcCode:
         return cls(base, m, ell, tuple(gens))
 
     def expand(self) -> LinearCode:
-        """F_q-linear view: all m cyclic-shift images of every generator,
-        written blockwise per coordinate, RREF-reduced."""
-        rows = []
+        """F_q-linear view: the cyclic-shift images of every generator,
+        written blockwise per coordinate, kept in RREF as they come.  A
+        generator's shifts stop at the first one already in the span: the
+        span is then closed under x, so every later shift lies in it too."""
+        F, rows = self.base, {}  # pivot -> row, 1 there and 0 at every other pivot
         for gen in self.gens:
             for s in range(self.m):
-                row = []
-                for a in gen:
-                    row.extend(a.shift_mod_xm(s, self.m).padded_coeffs(self.m))
-                rows.append(row)
-        return LinearCode.from_rows(self.base, self.m * self.ell, rows)
+                v = [c for a in gen for c in a.shift_mod_xm(s, self.m).padded_coeffs(self.m)]
+                for pc, row in rows.items():
+                    if v[pc]:
+                        v = F.row_sub_raw(v, v[pc], row)
+                pc = next((j for j, c in enumerate(v) if c), None)
+                if pc is None:
+                    break
+                v = F.row_sub_raw([0] * len(v), F.neg_raw(F.inv_raw(v[pc])), v)
+                for p, row in rows.items():
+                    if row[pc]:
+                        rows[p] = F.row_sub_raw(row, row[pc], v)
+                rows[pc] = v
+        return LinearCode(F, self.m * self.ell, [rows[p] for p in sorted(rows)], sorted(rows))
 
     def __repr__(self):
         return f"QcCode({self.base}, m={self.m}, ell={self.ell}, r={len(self.gens)})"

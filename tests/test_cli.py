@@ -174,6 +174,16 @@ def test_descend_bad_subfield(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("header, q", [("78125 2 1", "5"), ("65537 2 1", "65537")])
+def test_descend_refuses_untabled_fields(tmp_path, capsys, header, q):
+    # above the 2^16 field-table limit the self-dual basis search would run for minutes
+    f = tmp_path / "code.txt"
+    f.write_text(f"{header}\n1 2\n")
+    code, payload = run_json(capsys, "descend", "--in", str(f), "--q", q)
+    assert code == 2
+    assert payload["error"] == "FieldTooLarge"
+
+
 @pytest.mark.parametrize("q", ["0", "1", "6"])
 def test_descend_subfield_must_be_a_field_order(tmp_path, capsys, q):
     f = tmp_path / "code.txt"

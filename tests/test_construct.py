@@ -141,9 +141,25 @@ def test_dc_needs_coprime_m():
 def test_dc_criterion_matches_hull_oracle_gf2(m):
     for serial in range(2**m):
         a = Poly(F2, [(serial >> i) & 1 for i in range(m)])
-        lib = dc_is_lcd(F2, m, a)
-        assert lib == cc._dc_lcd_gf2(serial, m)
-        assert lib == (double_circulant(F2, m, a).expand().hull_dim() == 0)
+        assert dc_is_lcd(F2, m, a) == (double_circulant(F2, m, a).expand().hull_dim() == 0)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7, 9, 11])
+def test_dc_gram_screen_gf2_every_serial(m):
+    # Massey's Gram-rank test on bit masks against the gcd criterion
+    screen = cc._dc_screen_gf2(range(2**m), m)
+    assert screen.tolist() == [
+        dc_is_lcd(F2, m, Poly(F2, cc._serial_to_coeffs(s, 2, m))) for s in range(2**m)
+    ]
+
+
+@pytest.mark.parametrize("m", range(17, 32, 2))
+def test_dc_gram_screen_gf2_seeded(m):
+    serials = list(cc._random_serials(m, 300, 2**m))
+    screen = cc._dc_screen_gf2(serials, m)
+    expected = [dc_is_lcd(F2, m, Poly(F2, cc._serial_to_coeffs(s, 2, m))) for s in serials]
+    assert screen.tolist() == expected
+    assert 0 < sum(expected) < len(expected)
 
 
 @pytest.mark.parametrize("m", [2, 4, 5])
@@ -287,15 +303,10 @@ def _reference_scan(base, m, serials, mode="exhaustive", first_tie=False):
     q = base.order
     count, best_d, best_serial = 0, -1, -1
     for serial in serials:
-        if q == 2:
-            if not cc._dc_lcd_gf2(serial, m):
-                continue
-            d = _full_distance_gf2(serial, m)
-        else:
-            a = Poly(base, cc._serial_to_coeffs(serial, q, m))
-            if not dc_is_lcd(base, m, a):
-                continue
-            d = _expanded_distance(base, m, a.coeffs)
+        a = Poly(base, cc._serial_to_coeffs(serial, q, m))
+        if not dc_is_lcd(base, m, a):
+            continue
+        d = _full_distance_gf2(serial, m) if q == 2 else _expanded_distance(base, m, a.coeffs)
         count += 1
         if d > best_d or (not first_tie and d == best_d and serial < best_serial):
             best_d, best_serial = d, serial
@@ -365,15 +376,24 @@ def test_dc_search_blocks_and_workers_give_one_report(monkeypatch, block):
 
 def test_dc_scan_tests_blocks_not_candidates(monkeypatch):
     # one Gram-rank screen and one engine call per block, no gcd criterion
-    engine_calls, gcd_calls = [], []
-    engine = cc.bz_min_distance
+    engine_calls, screens, gcd_calls = [], [], []
+    engine, gram, screen, gcd = cc.bz_min_distance, cc._gram, cc._dc_screen_gf2, cc.dc_is_lcd
     monkeypatch.setattr(cc, "bz_min_distance",
                         lambda *args: engine_calls.append(1) or engine(*args))
+    monkeypatch.setattr(cc, "_gram", lambda *args: screens.append(1) or gram(*args))
+    monkeypatch.setattr(cc, "_dc_screen_gf2", lambda *args: screens.append(1) or screen(*args))
     monkeypatch.setattr(cc, "dc_is_lcd", lambda *args: gcd_calls.append(1))
     monkeypatch.setattr(cc, "_DC_BLOCK", 50)
-    serials, sizes = cc._dc_orbits(3, 7)
-    cc._dc_scan(F3, 7, serials, sizes)
-    assert (len(engine_calls), gcd_calls) == (-(-len(serials) // 50), [])
+    for field, m in [(F3, 7), (F2, 15)]:
+        engine_calls.clear()
+        screens.clear()
+        serials, sizes = cc._dc_orbits(field.order, m)
+        cc._dc_scan(field, m, serials, sizes)
+        blocks = [serials[i:i + 50] for i in range(0, len(serials), 50)]
+        with_lcd = sum(any(gcd(field, m, Poly(field, cc._serial_to_coeffs(s, field.order, m)))
+                           for s in block) for block in blocks)
+        assert gcd_calls == [] and len(screens) == len(blocks) > 1, field
+        assert len(engine_calls) == with_lcd >= len(blocks) - 1, field
 
 
 def test_dc_scan_blocks_shrink_with_the_field(monkeypatch):
@@ -407,6 +427,22 @@ def test_dc_orbits_are_the_symmetry_orbits(q, m):
     reps, sizes = cc._dc_orbits(q, m)
     assert reps == sorted({min(orbit(s)) for s in range(q**m)})
     assert sizes == [len(orbit(s)) for s in reps]
+
+
+@pytest.mark.parametrize("q, m, orbits", [(2, 15, 368), (2, 17, 522), (3, 11, 1698), (4, 9, 5164)])
+def test_dc_orbit_counts(q, m, orbits):
+    # counts of the serial-by-serial walk the batched orbits replaced
+    reps, sizes = cc._dc_orbits(q, m)
+    assert len(reps) == len(sizes) == orbits
+    assert sum(sizes) == q**m
+    assert reps == sorted(reps) and reps[0] == 0
+
+
+@pytest.mark.parametrize("batch", [1, 3, 1000])
+def test_dc_orbits_batch_size(monkeypatch, batch):
+    expected = cc._dc_orbits(3, 5)
+    monkeypatch.setattr(cc, "_ORBIT_BATCH", batch)
+    assert cc._dc_orbits(3, 5) == expected
 
 
 def test_dc_search_small_table():

@@ -535,6 +535,46 @@ def test_bz_engine_binary_mask_width(monkeypatch, n, packed):
     assert bool(calls) == packed
 
 
+@pytest.mark.parametrize("n", [1, 5, 20, 63])
+@pytest.mark.parametrize("k", [1, 2, 7, 17])
+def test_reduce_gf2_stack_matches_list_kernel(n, k):
+    # the stack kernel against _reduce_gf2 code by code, with zero rows,
+    # repeated rows, cols = 0, all columns, and bit 62 at n = 63
+    rng = random.Random(n * 100 + k)
+    for cols in (0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n), 1 << (n - 1)):
+        stack = [[rng.getrandbits(n) if rng.random() < 0.8 else 0 for _ in range(k)]
+                 for _ in range(9)]
+        stack[0] = [0] * k
+        stack[1] = [stack[1][0]] * k
+        reduced, bits = lc._reduce_gf2_stack(stack, cols)
+        assert reduced.shape == bits.shape == (9, k)
+        for masks, g, p in zip(stack, reduced.tolist(), bits.tolist()):
+            expected, pivots = lc._reduce_gf2(masks, cols)
+            assert g == expected
+            assert [1 << c for c in pivots] == [b for b in p if b]
+        if cols == 1 << 62:
+            assert (bits == 1 << 62).any()
+
+
+def test_bz_engine_reduces_binary_groups_as_stacks(monkeypatch):
+    # codes with the same used columns take one stack-kernel call; a lone code the list kernel
+    calls, stack_kernel, list_kernel = [], lc._reduce_gf2_stack, lc._reduce_gf2
+    monkeypatch.setattr(lc, "_reduce_gf2_stack",
+                        lambda *args: calls.append(len(args[0])) or stack_kernel(*args))
+    monkeypatch.setattr(lc, "_reduce_gf2",
+                        lambda *args: calls.append("list") or list_kernel(*args))
+    rng = random.Random(5)
+    k, n = 6, 20
+    codes = [[[int(i == j) for j in range(k)] + [rng.randrange(2) for _ in range(n - k)]
+              for i in range(k)] for _ in range(12)]
+    got = lc.bz_min_distance(F2, codes, range(k))
+    assert got.tolist() == [min_weight(F2, rows, n) for rows in codes]
+    assert calls[0] == 12
+    calls.clear()
+    assert lc.bz_min_distance(F2, codes[:1], range(k))[0] == got[0]
+    assert calls and set(calls) == {"list"}
+
+
 def stronger_bound(ranks, k, w):
     """(w + 1) per set: too strong once a set has rank below k."""
     return (np.asarray(ranks) > 0).sum(-1) * (np.asarray(w) + 1)

@@ -77,6 +77,25 @@ def test_expand_layout():
     assert lin.contains([0, 0, 1, 1, 0, 0])
 
 
+def all_shifts(C):
+    """The F_q-linear view from all m shifts of every generator."""
+    rows = [[c for a in gen for c in a.shift_mod_xm(s, C.m).padded_coeffs(C.m)]
+            for gen in C.gens for s in range(C.m)]
+    return LinearCode.from_rows(C.base, C.m * C.ell, rows)
+
+
+def test_expand_matches_all_shifts():
+    # shifts stop at the first one in the span; the RREF is the same
+    F4 = make_field(2, 2)
+    rng = random.Random(7)
+    codes = CODES + [from_constituents(constituents(C)) for C in CODES[:20]]
+    codes += [random_qc(rng, F4, 5, 3, 3), QcCode.make(F3, 5, 2, [(Poly.zero(F3),) * 2] * 2)]
+    for C in codes:
+        lin, ref = C.expand(), all_shifts(C)
+        assert lin == ref and lin.pivot_cols == ref.pivot_cols, C
+    assert any(C.expand().k < C.m * len(C.gens) for C in codes[60:80])
+
+
 def test_from_rows_roundtrip():
     rng = random.Random(1)
     C = random_qc(rng, F3, 5, 3, 2)
