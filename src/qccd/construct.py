@@ -330,33 +330,28 @@ def self_dual_basis(q: int, ell: int) -> SelfDualBasis:
             f"no self-dual basis of GF({q}^{ell}) over GF({q}): q odd, ell even"
         )
 
-    def tr(x: int) -> int:
-        return big.trace_raw(x, sub)
+    tr = big.trace_table(sub)
+    unit_norm = [x for x in range(1, big.order) if tr[big.mul_raw(x, x)] == 1]
 
-    # 1) normal bases {alpha^(q^i)}
-    for alpha in range(1, big.order):
-        basis = [alpha]
-        for _ in range(ell - 1):
-            basis.append(big.pow_raw(basis[-1], q))
-        if all(tr(big.mul_raw(basis[i], basis[j])) == (i == j)
-               for i in range(ell) for j in range(i, ell)):
+    # 1) normal bases {alpha^(q^i)}: the trace is Frobenius-invariant, so
+    #    Tr(alpha^(q^i) alpha^(q^j)) = Tr(alpha^(1 + q^(j - i)))
+    for alpha in unit_norm:
+        if all(tr[big.pow_raw(alpha, 1 + q**d)] == 0 for d in range(1, ell)):
+            basis = [big.pow_raw(alpha, q**i) for i in range(ell)]
             return SelfDualBasis(big, sub, tuple(FieldElement(big, b) for b in basis))
 
     # 2) DFS over orthonormal sets in canonical element order
-    unit_norm = [x for x in range(1, big.order) if tr(big.mul_raw(x, x)) == 1]
-
-    def dfs(chosen: list[int], start: int):
+    def dfs(chosen: list[int], rest: list[int]):
+        """rest: the later unit-norm elements orthogonal to all of chosen."""
         if len(chosen) == ell:
             return chosen
-        for idx in range(start, len(unit_norm)):
-            x = unit_norm[idx]
-            if all(tr(big.mul_raw(x, b)) == 0 for b in chosen):
-                found = dfs(chosen + [x], idx + 1)
-                if found:
-                    return found
+        for idx, x in enumerate(rest):
+            found = dfs(chosen + [x], [y for y in rest[idx + 1:] if tr[big.mul_raw(x, y)] == 0])
+            if found:
+                return found
         return None
 
-    found = dfs([], 0)
+    found = dfs([], unit_norm)
     if found is None:
         raise SearchExhausted(
             f"no self-dual basis of GF({q}^{ell}) over GF({q}) found by search"

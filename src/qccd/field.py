@@ -6,16 +6,19 @@ integer in [0, p^k): the base-p digits are the coefficients, low digit =
 constant coefficient.  All field contexts are interned singletons, so the
 choice of modulus and primitive element is bit-reproducible across runs.
 
-Fields up to order 2^16 build exp/log tables of a primitive element g on
-first use and, in odd characteristic with k > 1, Zech logarithms
-zech[d] = log(1 + g^d) for addition; larger fields compute digit by digit.
-The row operation ``row_sub_raw`` (xs - c*ys) is built from these tables.
+Fields have order at most 2^16, and each builds its exp/log tables of a
+primitive element g when it is created; in odd characteristic with k > 1
+also Zech logarithms zech[d] = log(1 + g^d) for addition.  All arithmetic,
+the row operation ``row_sub_raw`` (xs - c*ys) included, reads these tables;
+traces read one table per subfield, built from the traces of the basis.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     CharacteristicDividesM,
@@ -27,10 +30,8 @@ from .errors import (
     NotSquareOrderField,
 )
 
-MAX_FIELD_ORDER = 1 << 20
-
-# exp/log tables are only built for fields up to this order
-_TABLE_LIMIT = 1 << 16
+# every field is tabled, so this is also the largest table
+MAX_FIELD_ORDER = 1 << 16
 
 
 def _is_prime(n: int) -> bool:
@@ -119,16 +120,14 @@ class FiniteField:
         self.k = k
         self.order = p**k
         self.modulus = modulus
-        self._exp = None
-        self._log = None
-        self._zech = None
-        self._prim = None
         self._embeddings: dict[int, tuple[list[int], dict[int, int]]] = {}
+        self._traces: dict[int, list[int]] = {}
         if p == 2:
             self._mod_bits = sum(1 << i for i, c in enumerate(modulus) if c)
         else:
             self._mod_bits = None
         self._pk_pows = [p**i for i in range(k + 1)]
+        self._build_tables()
 
     # singletons survive pickling
     def __reduce__(self):
@@ -152,14 +151,10 @@ class FiniteField:
     def add_raw(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        p = self.p
         if self.k == 1:
-            return (a + b) % p
+            return (a + b) % self.p
         if not a or not b:
             return a or b
-        if self._zech is None and not self._ensure_tables():
-            da, db = self.to_digits(a), self.to_digits(b)
-            return self.from_digits([(x + y) % p for x, y in zip(da, db)])
         log = self._log
         la = log[a]
         return self._exp[la + self._zech[log[b] - la]]
@@ -167,13 +162,10 @@ class FiniteField:
     def neg_raw(self, a: int) -> int:
         if self.p == 2:
             return a
-        p = self.p
         if self.k == 1:
-            return -a % p
+            return -a % self.p
         if not a:
             return 0
-        if self._exp is None and not self._ensure_tables():
-            return self.from_digits([-x % p for x in self.to_digits(a)])
         return self._exp[self._log[a] + (self.order - 1) // 2]
 
     def sub_raw(self, a: int, b: int) -> int:
@@ -185,8 +177,7 @@ class FiniteField:
 
     def row_sub_raw(self, xs, c: int, ys) -> list[int]:
         """xs - c * ys entrywise on equal-length lists of raw codes, the row
-        operation of every elimination; no entry costs a method call on a
-        tabled field."""
+        operation of every elimination; no entry costs a method call."""
         p = self.p
         if c == 0:
             return list(xs)
@@ -194,8 +185,6 @@ class FiniteField:
             if p == 2:
                 return [x ^ y for x, y in zip(xs, ys)]
             return [(x - c * y) % p for x, y in zip(xs, ys)]
-        if self._exp is None and not self._ensure_tables():
-            return [self.sub_raw(x, self._polymul_raw(c, y)) for x, y in zip(xs, ys)]
         exp, log = self._exp, self._log
         if p == 2:
             lc = log[c]
@@ -206,6 +195,7 @@ class FiniteField:
                 for x, y in zip(xs, ys)]
 
     def _polymul_raw(self, a: int, b: int) -> int:
+        """a * b in the polynomial basis: only to find g and build the tables."""
         if a == 0 or b == 0:
             return 0
         if self.p == 2:
@@ -236,23 +226,26 @@ class FiniteField:
                     prod[i - self.k + j] = (prod[i - self.k + j] - c * self.modulus[j]) % p
         return self.from_digits(prod[: self.k])
 
-    def _ensure_tables(self) -> bool:
-        """Build exp/log (and zech) on first use; False above the limit."""
-        if self._exp is not None:
-            return True
-        if self.order > _TABLE_LIMIT:
-            return False
-        g = self.primitive_element_raw()
-        n = self.order - 1
-        exp = [0] * (2 * n)
-        log = [0] * self.order
-        cur = 1
-        for i in range(n):
-            exp[i] = cur
-            exp[i + n] = cur
-            log[cur] = i
-            cur = self._polymul_raw(cur, g)
-        p = self.p
+    def _build_tables(self) -> None:
+        """g is the first element in canonical order that generates the
+        multiplicative group; exp[i] = g^i for i < 2n, log inverts it.  The
+        digit rows of g^0 .. g^(t-1) times the matrix of multiplication by
+        h = g^t are the rows of g^t .. g^(2t-1), so t doubles per product."""
+        n, p, pows = self.order - 1, self.p, self._pk_pows[:-1]
+        facs = _prime_factors(n) if n > 1 else []
+        g = next(g for g in range(1, self.order)
+                 if all(self._pow_square_mult(g, n // f) != 1 for f in facs))
+        rows, h = np.array([self.to_digits(1)]), g
+        while len(rows) < n:
+            times_h = np.array([self.to_digits(self._polymul_raw(h, x)) for x in pows])
+            rows = np.concatenate([rows, rows @ times_h % p])
+            h = self._polymul_raw(h, h)
+        codes = rows[:n] @ pows
+        exp = codes.tolist() * 2
+        log = np.zeros(self.order, dtype=np.int64)
+        log[codes] = np.arange(n)
+        log = log.tolist()
+        self._zech = None
         if p != 2 and self.k > 1:
             # 1 + g^d only changes the constant digit.  zech has period n and
             # length 2n, so any d in [-2n, 2n) indexes it; 1 + g^(n/2) = 0
@@ -261,30 +254,21 @@ class FiniteField:
             zech[n // 2] = 2 * n - 1
             self._zech = zech + zech
             exp[2 * n - 1:] = [0] * n
-        self._exp, self._log = exp, log
-        return True
+        self._prim, self._exp, self._log = g, exp, log
 
     def tables(self):
-        """(exp, log) lists, exp[log a + log b] = a * b; None above the limit."""
-        return (self._exp, self._log) if self._ensure_tables() else None
+        """(exp, log) lists, exp[log a + log b] = a * b."""
+        return self._exp, self._log
 
     def mul_raw(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is None:
-            self._ensure_tables()
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._polymul_raw(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv_raw(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("cannot invert zero")
-        if self._exp is None:
-            self._ensure_tables()
-        if self._exp is not None:
-            return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
-        return self._pow_square_mult(a, self.order - 2)
+        return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
 
     def _pow_square_mult(self, a: int, e: int) -> int:
         r = 1
@@ -302,12 +286,7 @@ class FiniteField:
             if e < 0:
                 raise DivisionByZero("cannot raise zero to a negative power")
             return 0
-        e %= self.order - 1
-        if self._exp is None:
-            self._ensure_tables()
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.order - 1)]
-        return self._pow_square_mult(a, e)
+        return self._exp[self._log[a] * e % (self.order - 1)]
 
     def frobenius_raw(self, a: int, j: int) -> int:
         return self.pow_raw(a, self.p**j)
@@ -315,15 +294,7 @@ class FiniteField:
     def primitive_element_raw(self) -> int:
         """First element in canonical enumeration order that generates the
         multiplicative group."""
-        if self._prim is not None:
-            return self._prim
-        n = self.order - 1
-        facs = _prime_factors(n) if n > 1 else []
-        for g in range(1, self.order):
-            if all(self._pow_square_mult(g, n // f) != 1 for f in facs):
-                self._prim = g
-                return g
-        raise AssertionError("no primitive element found")  # unreachable
+        return self._prim
 
     def multiplicative_order_raw(self, a: int) -> int:
         if a == 0:
@@ -399,20 +370,33 @@ class FiniteField:
                 roots.append(c)
         return min(roots)
 
-    def trace_raw(self, a: int, sub: "FiniteField") -> int:
-        """Trace of a down to sub, returned as a raw code of sub."""
+    def trace_table(self, sub: "FiniteField") -> list[int]:
+        """table[a] = trace of a down to sub, as a raw code of sub.  The trace
+        is GF(p)-linear, so the table follows from the traces of the basis
+        elements x^i (raw code p^i), each a sum of Frobenius images."""
         if not self.is_subfield(sub):
             raise NotASubfield(f"{sub} is not a subfield of {self}")
-        e = self.k // sub.k
-        acc = a
-        y = a
-        for _ in range(e - 1):
-            y = self.pow_raw(y, sub.order)
-            acc = self.add_raw(acc, y)
+        table = self._traces.get(sub.k)
+        if table is not None:
+            return table
         _, retract = self.embedding(sub)
-        if acc not in retract:
-            raise AssertionError("trace value escaped the subfield")
-        return retract[acc]
+        table = [0]
+        for i in range(self.k):
+            acc = y = self._pk_pows[i]
+            for _ in range(self.k // sub.k - 1):
+                y = self.pow_raw(y, sub.order)
+                acc = self.add_raw(acc, y)
+            if acc not in retract:
+                raise AssertionError("trace value escaped the subfield")
+            t = retract[acc]
+            # table[a + d p^i] = table[a] + d t for a < p^i and digit d
+            table = [sub.add_raw(x, sub.mul_raw(d, t)) for d in range(self.p) for x in table]
+        self._traces[sub.k] = table
+        return table
+
+    def trace_raw(self, a: int, sub: "FiniteField") -> int:
+        """Trace of a down to sub, returned as a raw code of sub."""
+        return self.trace_table(sub)[a]
 
 
 class FieldElement:

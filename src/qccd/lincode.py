@@ -288,7 +288,8 @@ def _check_scalars(field: FiniteField, scalars) -> list[int]:
     if (
         S == 0
         or len(set(T)) != S
-        or any(not 0 <= z < field.order or field.pow_raw(z, S) != z for z in T)
+        or not 0 <= T[0] <= T[-1] < field.order
+        or (_vmul(field, np.array(T), np.array(T), S - 1) != T).any()
     ):
         raise ValueError(f"scalars are not the {S} roots of x^{S} - x in {field}")
     return T
@@ -297,25 +298,19 @@ def _check_scalars(field: FiniteField, scalars) -> list[int]:
 @lru_cache(maxsize=None)
 def _np_tables(field: FiniteField):
     """(EXP, LOG) with EXP[LOG[a] + LOG[b]] = a b for all a, b: LOG[0] points into zeros."""
-    tables = field.tables()
-    if tables is None:
-        return None
+    exp, log = field.tables()
     n = field.order - 1
     EXP = np.zeros(4 * n + 1, dtype=np.int64)
-    EXP[:2 * n - 1] = tables[0][:2 * n - 1]
-    return EXP, np.array([2 * n] + tables[1][1:], dtype=np.int64)
+    EXP[:2 * n - 1] = exp[:2 * n - 1]
+    return EXP, np.array([2 * n] + log[1:], dtype=np.int64)
 
 
 def _vmul(field: FiniteField, A: np.ndarray, B: np.ndarray, e: int = 1) -> np.ndarray:
     """A B^e entrywise on raw codes (e < 0 needs B nonzero), from the exp/log
-    tables (per element above their limit), or a b mod p over a prime field."""
+    tables, or a b mod p over a prime field."""
     if field.k == 1 and e == 1:
         return _mod(A * B, field.p)
-    tables = _np_tables(field)
-    if tables is None:
-        mul = np.vectorize(lambda a, b: field.mul_raw(a, field.pow_raw(b, e)), otypes=[np.int64])
-        return mul(A, B)
-    EXP, LOG = tables
+    EXP, LOG = _np_tables(field)
     if e == 1:
         return EXP[LOG[A] + LOG[B]]
     return np.where(B == 0, 0, EXP[LOG[A] + LOG[B] * e % (field.order - 1)])

@@ -176,7 +176,7 @@ def test_descend_bad_subfield(tmp_path, capsys):
 
 @pytest.mark.parametrize("header, q", [("78125 2 1", "5"), ("65537 2 1", "65537")])
 def test_descend_refuses_untabled_fields(tmp_path, capsys, header, q):
-    # above the 2^16 field-table limit the self-dual basis search would run for minutes
+    # code fields above 2^16 are refused as every field is: at the file's header
     f = tmp_path / "code.txt"
     f.write_text(f"{header}\n1 2\n")
     code, payload = run_json(capsys, "descend", "--in", str(f), "--q", q)
@@ -247,6 +247,44 @@ def test_field_order_cap_in_cli(capsys):
     code, payload = run_json(capsys, "factor", "--q", str(2**89 - 1), "--m", "3")
     assert code == 2
     assert payload["error"] == "FieldTooLarge"
+
+
+FIELD_ABOVE_CAP = [
+    ("factor", "--q", "2", "--m", "19"),  # splits in GF(2^18)
+    ("cyclic-check", "--q", "2", "--ell", "25", "--g", "1,1"),  # GF(2^20)
+    ("qc-check", "2 19 1 1\n1,1,0,1\n"),
+    ("extend-hermitian", "531441 2 1\n1 2\n"),  # a code over GF(3^12)
+]
+
+
+def _field_above_cap(tmp_path, capsys, argv):
+    if len(argv) == 2:  # a command and the text of its input file
+        f = tmp_path / "input.txt"
+        f.write_text(argv[1])
+        argv = (argv[0], "--in", str(f))
+    return run_json(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", FIELD_ABOVE_CAP)
+def test_fields_above_cap_refused(tmp_path, capsys, argv):
+    code, payload = _field_above_cap(tmp_path, capsys, argv)
+    assert code == 2
+    assert payload["error"] == "FieldTooLarge"
+
+
+def test_fields_above_cap_refused_before_modulus_search(tmp_path, capsys, monkeypatch):
+    import qccd.field as fd
+
+    for p in (2, 3):  # the base fields are built before the patch
+        fd.make_field(p, 1)
+
+    def no_search(p, k):
+        raise AssertionError(f"modulus search for GF({p}^{k})")
+
+    monkeypatch.setattr(fd, "_smallest_irreducible", no_search)
+    for argv in FIELD_ABOVE_CAP:
+        code, payload = _field_above_cap(tmp_path, capsys, argv)
+        assert (code, payload["error"]) == (2, "FieldTooLarge"), argv
 
 
 @pytest.mark.parametrize(
