@@ -13,9 +13,11 @@ double-circulant search.  Codes with k > n - k enumerate their dual.
 
 Enumeration (``weight_distribution``) is projective: scalar multiples of a
 codeword share its weight, so one codeword per class of nonzero scalar
-multiples is visited and counted |scalars| - 1 times, which divides the work
-by q - 1 (or by |S| - 1 for spans over a subfield S).  Each row adds its
-scalar multiples to the span built so far in one broadcast vector add.
+multiples is visited and counted q - 1 times, which divides the work by
+q - 1.  Each row adds its scalar multiples to the span built so far in one
+broadcast vector add.  A code is always spanned over its own field; a
+constituent of a quasi-cyclic code is first taken into its own subfield
+(``qc._own_field``).
 """
 from __future__ import annotations
 
@@ -280,21 +282,6 @@ def _span_weights_gf2(masks) -> np.ndarray:
     return _popcount(arr)
 
 
-def _check_scalars(field: FiniteField, scalars) -> list[int]:
-    """Sorted scalar set; it must be the S roots of x^S - x in the field,
-    so its nonzero elements form a multiplicative group."""
-    T = sorted(scalars)
-    S = len(T)
-    if (
-        S == 0
-        or len(set(T)) != S
-        or not 0 <= T[0] <= T[-1] < field.order
-        or (_vmul(field, np.array(T), np.array(T), S - 1) != T).any()
-    ):
-        raise ValueError(f"scalars are not the {S} roots of x^{S} - x in {field}")
-    return T
-
-
 @lru_cache(maxsize=None)
 def _np_tables(field: FiniteField):
     """(EXP, LOG) with EXP[LOG[a] + LOG[b]] = a b for all a, b: LOG[0] points into zeros."""
@@ -316,10 +303,11 @@ def _vmul(field: FiniteField, A: np.ndarray, B: np.ndarray, e: int = 1) -> np.nd
     return np.where(B == 0, 0, EXP[LOG[A] + LOG[B] * e % (field.order - 1)])
 
 
-def _row_multiples(field: FiniteField, R: np.ndarray, scalars) -> np.ndarray:
-    """s * R for every scalar s on a new first axis.  Scalars vary fastest
-    in memory: spans built from them inherit it and enumerate ~1.4x faster."""
-    s = np.asarray(scalars, dtype=np.int64)
+def _row_multiples(field: FiniteField, R: np.ndarray) -> np.ndarray:
+    """s * R for every field element s on a new first axis.  Scalars vary
+    fastest in memory: spans built from them inherit it and enumerate ~1.4x
+    faster."""
+    s = np.arange(field.order, dtype=np.int64)
     return np.moveaxis(_vmul(field, s, R[..., None]), -1, 0)
 
 
@@ -536,15 +524,15 @@ def _weight_counts(W: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(np.count_nonzero(W, axis=1), minlength=n + 1)
 
 
-def weight_distribution(field: FiniteField, rows, n: int, scalars=None) -> np.ndarray:
-    """Hamming weight distribution of the span of rows under the given
-    scalar set (default: the whole field).  Exact integer counts, one per
-    coefficient vector, so dependent and zero rows count with multiplicity.
+def weight_distribution(field: FiniteField, rows, n: int) -> np.ndarray:
+    """Hamming weight distribution of the span of rows over the field.
+    Exact integer counts, one per coefficient vector, so dependent and zero
+    rows count with multiplicity.
 
-    The nonzero scalars form a multiplicative group T*, and lambda*c has the
-    weight of c.  A nonzero coefficient vector with first nonzero entry at
-    row i is lambda*(rows[i] + span_T(rows[i+1:])) for one lambda in T*, so
-    each of those words is enumerated once and counted |T| - 1 times.
+    lambda*c has the weight of c for every nonzero scalar lambda.  A nonzero
+    coefficient vector with first nonzero entry at row i is
+    lambda*(rows[i] + span(rows[i+1:])) for one lambda, so each of those
+    words is enumerated once and counted q - 1 times.
     """
     rows = [list(r) for r in rows]
     k = len(rows)
@@ -552,30 +540,26 @@ def weight_distribution(field: FiniteField, rows, n: int, scalars=None) -> np.nd
     if k == 0:
         dist[0] = 1
         return dist
-    if scalars is None:
-        scalars = list(range(field.order))
-    else:
-        scalars = _check_scalars(field, scalars)
-    S = len(scalars)
-    if S**k > ENUM_CAP:
-        raise TooLargeToEnumerate(f"{S}^{k} codewords exceed the enumeration cap")
+    q = field.order
+    if q**k > ENUM_CAP:
+        raise TooLargeToEnumerate(f"{q}^{k} codewords exceed the enumeration cap")
 
-    if field.order == 2 and scalars == [0, 1] and n <= 62:
+    if q == 2 and n <= 62:
         packed = [sum(1 << j for j, x in enumerate(r) if x) for r in rows]
         return np.bincount(_span_weights_gf2(packed), minlength=n + 1).astype(np.int64)
 
-    # scalar multiples of every row, mults[:, i] an (S, n) array
+    # scalar multiples of every row, mults[:, i] a (q, n) array
     R = np.array(rows, dtype=np.int64)
-    mults = _row_multiples(field, R, scalars)
+    mults = _row_multiples(field, R)
 
     def spanned(i, span):
-        # span_T(rows[i:]) from span_T(rows[i+1:]): one broadcast add
+        # span(rows[i:]) from span(rows[i+1:]): one broadcast add
         return _vadd(field, mults[:, i, None, :], span[None, :, :]).reshape(-1, n)
 
     # the last j rows are spanned inside one array (the base); each row
     # before them leads a set of offsets, each added to the whole base
     j = 0
-    while j < k and S ** (j + 1) <= _CHUNK:
+    while j < k and q ** (j + 1) <= _CHUNK:
         j += 1
     split = k - j
     base = np.zeros((1, n), dtype=np.int64)
@@ -594,13 +578,13 @@ def weight_distribution(field: FiniteField, rows, n: int, scalars=None) -> np.nd
         if i:
             span = spanned(i, span)
 
-    dist *= S - 1
+    dist *= q - 1
     dist[0] += 1
     return dist
 
 
-def min_weight(field: FiniteField, rows, n: int, scalars=None) -> int:
-    dist = weight_distribution(field, rows, n, scalars)
+def min_weight(field: FiniteField, rows, n: int) -> int:
+    dist = weight_distribution(field, rows, n)
     for i in range(1, n + 1):
         if dist[i] > 0:
             return i

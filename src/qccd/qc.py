@@ -7,7 +7,9 @@ rebuilds generator tuples by the trace formula of Ling & Sole ("On the
 algebraic structure of quasi-cyclic codes I: finite fields", IEEE Trans.
 IT 47, 2001), a closed form in the primitive idempotents of the splitting
 field.  All constituent linear algebra is carried out inside the
-splitting field, with subfield membership asserted after every reduction.
+splitting field, with subfield membership asserted after every reduction;
+a constituent's minimum distance is taken over its own subfield, where its
+RREF rows already lie (extending scalars never changes a distance).
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ from .errors import (
     SlotNotSelfReciprocal,
     SubfieldViolation,
 )
-from .field import FiniteField
-from .lincode import LinearCode, min_weight
+from .field import FiniteField, field_from_order
+from .lincode import LinearCode
 from .polyring import FactorProfile, Poly, factor_xm_minus_1, xm_minus_one
 
 
@@ -96,17 +98,23 @@ def slot_conj_exp(base: FiniteField, degree: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _subfield_elements(splitting: FiniteField, suborder: int) -> tuple[int, ...]:
-    return tuple(z for z in range(splitting.order) if splitting.pow_raw(z, suborder) == z)
+def _subfield_elements(splitting: FiniteField, suborder: int) -> frozenset[int]:
+    return frozenset(splitting.embedding(field_from_order(suborder))[0])
 
 
 def _assert_subfield(splitting: FiniteField, rows, suborder: int):
-    for row in rows:
-        for z in row:
-            if splitting.pow_raw(z, suborder) != z:
-                raise SubfieldViolation(
-                    f"entry {z} not in the subfield of order {suborder}"
-                )
+    outside = set().union(*rows) - _subfield_elements(splitting, suborder)
+    if outside:
+        raise SubfieldViolation(f"entry {min(outside)} not in the subfield of order {suborder}")
+
+
+def _own_field(splitting: FiniteField, part: LinearCode, suborder: int) -> LinearCode:
+    """The constituent as a code over GF(suborder), which holds its RREF
+    rows: the retract keeps the pivots, so the rows stay canonical."""
+    sub = field_from_order(suborder)
+    _, retract = splitting.embedding(sub)
+    rows = [[retract[z] for z in row] for row in part.rows]
+    return LinearCode(sub, part.n, rows, part.pivot_cols)
 
 
 @dataclass(frozen=True)
@@ -119,13 +127,18 @@ class ConstituentSet:
     self_parts: tuple[LinearCode, ...]
     pair_parts: tuple[tuple[LinearCode, LinearCode], ...]
 
+    def slots(self):
+        """(factor, root exponent, constituent) per slot in canonical order:
+        the self-reciprocal slots, then h at xi^v and h* at xi^-v per pair."""
+        profile = self.profile
+        for (g, u), part in zip(profile.self_recip, self.self_parts):
+            yield g, u, part
+        for (h, hstar, v), (cp, cpp) in zip(profile.pairs, self.pair_parts):
+            yield h, v, cp
+            yield hstar, (-v) % profile.m, cpp
+
     def fq_dimension(self) -> int:
-        total = 0
-        for (g, _), part in zip(self.profile.self_recip, self.self_parts):
-            total += g.degree * part.k
-        for (h, _, _), (cp, cpp) in zip(self.profile.pairs, self.pair_parts):
-            total += h.degree * (cp.k + cpp.k)
-        return total
+        return sum(f.degree * part.k for f, _, part in self.slots())
 
     def __eq__(self, other):
         return (
@@ -193,11 +206,9 @@ def from_constituents(cs: ConstituentSet) -> QcCode:
     base, S = profile.base, profile.splitting
     m, q = profile.m, base.order
     _, retract = S.embedding(base)
-    slots = [(u, g.degree, part) for (g, u), part in zip(profile.self_recip, cs.self_parts)]
-    for (h, _, v), (cp, cpp) in zip(profile.pairs, cs.pair_parts):
-        slots += [(v, h.degree, cp), ((-v) % m, h.degree, cpp)]
     gens = []
-    for exp, degree, part in slots:
+    for f, exp, part in cs.slots():
+        degree = f.degree
         _assert_subfield(S, part.rows, q**degree)
         W = _interp_matrix(profile, exp, degree)
         for row in part.rows:
@@ -271,35 +282,17 @@ def jensen_bound(C: QcCode) -> int:
     constituent distances against the distances of partial sums of the
     matching minimal cyclic codes."""
     cs = constituents(C)
-    profile = cs.profile
-    S = profile.splitting
-    q = C.base.order
-
-    slots = []  # (constituent distance, slot order index, factor)
-    idx = 0
-    for (g, _), part in zip(profile.self_recip, cs.self_parts):
-        if part.k:
-            scalars = _subfield_elements(S, q**g.degree)
-            slots.append((min_weight(S, part.rows, part.n, scalars), idx, g))
-        idx += 1
-    for (h, hstar, _), (cp, cpp) in zip(profile.pairs, cs.pair_parts):
-        for part, f in ((cp, h), (cpp, hstar)):
-            if part.k:
-                scalars = _subfield_elements(S, q**h.degree)
-                slots.append((min_weight(S, part.rows, part.n, scalars), idx, f))
-            idx += 1
-    if not slots:
-        return 0
-    slots.sort(key=lambda s: (s[0], s[1]))
-
-    bound = None
-    check = Poly.one(C.base)
-    for d_out, _, f in slots:
+    S, q = cs.profile.splitting, C.base.order
+    outer = sorted(  # (constituent distance, slot index, factor)
+        (_own_field(S, part, q**f.degree).min_distance(), idx, f)
+        for idx, (f, _, part) in enumerate(cs.slots())
+        if part.k
+    )
+    bounds, check = [], Poly.one(C.base)
+    for d_out, _, f in outer:
         check = check * f
-        d_inner = _inner_sum_distance(C.base, C.m, check.coeffs)
-        val = d_out * d_inner
-        bound = val if bound is None else min(bound, val)
-    return bound
+        bounds.append(d_out * _inner_sum_distance(C.base, C.m, check.coeffs))
+    return min(bounds, default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -33,3 +33,25 @@ def test_qc_caches_report():
     assert set(tracing.cache_counts()) == {"polyring.factor"} | {
         f"qc.{name}" for name in tracing.QC_CACHES
     }
+
+
+def test_enum_counter_reads_the_signature():
+    # the codeword counter reads weight_distribution's arguments by position
+    import inspect
+
+    from qccd import lincode
+    from qccd.field import make_field
+
+    tracing = load_tracing()
+    params = inspect.signature(lincode.weight_distribution).parameters
+    assert list(params) == ["field", "rows", "n"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (p, k), rows in [((3, 1), [[1, 2, 0], [0, 1, 1]]), ((2, 2), [[1, 3, 2, 0]] * 3)]:
+            field = make_field(p, k)
+            before = tracer.counters["lincode.enum.codewords"]
+            lincode.weight_distribution(field, rows, len(rows[0]))
+            assert tracer.counters["lincode.enum.codewords"] - before == field.order ** len(rows)
+    finally:
+        tracer.uninstall()

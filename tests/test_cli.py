@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qccd.construct as cc
+import qccd.lincode as lc
+import qccd.qc as qcmod
 from qccd.cli import main
+from qccd.io import parse_qc
 from qccd.lincode import MAX_LENGTH
 
 DATA_DC_M5 = "2 5 2 1\n1|1,1,0,1\n"
@@ -114,6 +118,40 @@ def test_qc_jensen(tmp_path, capsys):
     code, payload = run_json(capsys, "qc-jensen", "--in", str(f))
     assert code == 0
     assert payload["bound"] <= payload["min_distance"]
+
+
+def _systematic_qc(seed):
+    """GF(2), m = 5, ell = 12, r = 7: generator i is 1 in block i, 0 in the
+    other first seven blocks, and seeded bits in the last five."""
+    rng = random.Random(seed)
+    lines = ["2 5 12 7"]
+    for i in range(7):
+        blocks = ["1" if j == i else "0" for j in range(7)]
+        blocks += [",".join(str(rng.randrange(2)) for _ in range(5)) for _ in range(5)]
+        lines.append("|".join(blocks))
+    return "\n".join(lines) + "\n"
+
+
+def test_qc_jensen_constituent_beyond_span_cap(tmp_path, capsys):
+    # constituents [12,7,2] over GF(2) at x + 1 and [12,7,3] over GF(16):
+    # 16^7 words are past the cap, but the GF(16) distance comes from the
+    # dual's 16^5.  Bound: min(2 * 5, 3 * 1), inner distances of the
+    # repetition code and of the whole space
+    f = tmp_path / "sys.qc"
+    f.write_text(_systematic_qc(5))
+    code, payload = run_json(capsys, "qc-jensen", "--in", str(f))
+    assert code == 0 and payload["oracle_agreement"] is True
+    assert payload["bound"] == 3
+    cs = qcmod.constituents(parse_qc(f.read_text()))
+    S = cs.profile.splitting
+    own = [qcmod._own_field(S, part, 2**g.degree) for g, _, part in cs.slots()]
+    own = {c.field.order: c for c in own}
+    assert {q: (c.n, c.k, c.min_distance()) for q, c in own.items()} == {
+        2: (12, 7, 2), 16: (12, 7, 3)
+    }
+    assert 16**7 > lc.ENUM_CAP
+    # a second route to the GF(16) distance: BZ on the same rows
+    assert lc.bz_min_distance(own[16].field, [own[16].rows], own[16].pivot_cols)[0] == 3
 
 
 def test_dc_search_m5(capsys):

@@ -29,7 +29,7 @@ from qccd.errors import (
     TooLargeToEnumerate,
 )
 from qccd.field import FieldElement, make_field
-from qccd.lincode import LinearCode, _row_multiples, _span_weights_gf2, bz_min_distance, min_weight
+from qccd.lincode import LinearCode, _span_weights_gf2, bz_min_distance, min_weight
 from qccd.polyring import Poly
 
 F2 = make_field(2, 1)
@@ -258,7 +258,7 @@ def test_row_sums_visit_each_normalised_combination_once(monkeypatch, field, m, 
     monkeypatch.setattr(lc, "_SUMS", chunk)
     q = field.order
     eye = np.eye(m, dtype=np.int64)[None]
-    mults = _row_multiples(field, eye, range(1, q)).swapaxes(0, 1)
+    mults = lc._multiples(field, eye)
     for w in range(1, m + 1):
         blocks = list(lc._row_sums(field, mults, w))
         assert all(b.shape[0] * b.shape[1] <= chunk for b in blocks)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -166,6 +167,44 @@ def test_jensen_bound_tight_for_single_slot():
     assert jensen_bound(C) == C.expand().min_distance() == 2
 
 
+def subfield_min_weight(S, rows, suborder):
+    """Least weight of a nonzero combination of rows with coefficients in
+    the roots of x^suborder - x in S, by plain iteration.  Scaling keeps the
+    weight, so only coefficient vectors with first nonzero entry 1 are
+    visited."""
+    sub = [z for z in range(S.order) if S.pow_raw(z, suborder) == z]
+    weights = []
+    for lead in range(len(rows)):
+        for tail in itertools.product(sub, repeat=len(rows) - lead - 1):
+            word = list(rows[lead])
+            for c, row in zip(tail, rows[lead + 1:]):
+                word = [S.add_raw(x, S.mul_raw(c, y)) for x, y in zip(word, row)]
+            weights.append(sum(1 for x in word if x))
+    return min(weights)
+
+
+def _nonzero_slots(C):
+    cs = constituents(C)
+    S = cs.profile.splitting
+    for f, _, part in cs.slots():
+        if part.k:
+            yield S, part, C.base.order**f.degree
+
+
+def test_constituent_distance_over_own_field_matches_subfield_span():
+    cases = [slot for C in CODES + EXT_CODES for slot in _nonzero_slots(C)]
+    # wider spans over a proper subfield: GF(4) inside GF(16), GF(9) inside GF(3^6)
+    for q, m, ell, r in ((4, 5, 6, 4), (9, 7, 5, 3)):
+        C = random_qc(random.Random(q), field_from_order(q), m, ell, r)
+        cases += [slot for slot in _nonzero_slots(C) if slot[2] == q]
+    assert {(16, 4, 4), (729, 9, 3)} <= {(S.order, sub, part.k) for S, part, sub in cases}
+    for S, part, suborder in cases:
+        own = qcmod._own_field(S, part, suborder)
+        assert own.field.order == suborder
+        assert own == LinearCode.from_rows(own.field, own.n, own.rows)
+        assert own.min_distance() == subfield_min_weight(S, part.rows, suborder), (S, part)
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -304,15 +343,6 @@ M1_CODES = [
 ]
 
 
-def _slots(cs):
-    """(root exponent, degree, constituent) in from_constituents order."""
-    profile = cs.profile
-    out = [(u, g.degree, part) for (g, u), part in zip(profile.self_recip, cs.self_parts)]
-    for (h, _, v), (cp, cpp) in zip(profile.pairs, cs.pair_parts):
-        out += [(v, h.degree, cp), ((-v) % profile.m, h.degree, cpp)]
-    return out
-
-
 def test_inverse_crt_evaluates_to_constituents():
     # each generator takes its constituent entry at its slot root, the
     # conjugates of that entry at the conjugate roots, and 0 at every other
@@ -323,7 +353,8 @@ def test_inverse_crt_evaluates_to_constituents():
         profile = cs.profile
         S, q, m = profile.splitting, C.base.order, C.m
         gens = iter(from_constituents(cs).gens)
-        for idx, (exp, degree, part) in enumerate(_slots(cs)):
+        for idx, (f, exp, part) in enumerate(cs.slots()):
+            degree = f.degree
             for row in part.rows:
                 gen = next(gens)
                 for a, c in zip(gen, row):
