@@ -25,7 +25,7 @@ from .errors import (
     TooLargeToEnumerate,
 )
 from .field import FieldElement, FiniteField, field_from_order, make_field
-from .lincode import _CHUNK, ENUM_CAP, LinearCode, _gram, _rref_stack, bz_min_distance
+from .lincode import _CHUNK, ENUM_CAP, LinearCode, _gram, _reduce_stack, bz_min_distance
 from .lincode import _popcount, _reduce_gf2_stack
 from .polyring import Poly, poly_gcd, xm_minus_one
 from .qc import QcCode
@@ -166,11 +166,12 @@ def _dc_screen_gf2(serials, m: int) -> np.ndarray:
 def _dc_scan(base: FiniteField, m: int, serials, weights):
     """(lcd_count, best_d, best_serial) over the serials in the given order,
     up to ``_DC_BLOCK`` at a time: an LCD serial counts with its weight, and the
-    first serial of the largest distance wins.  G1 = [I | circ(a)] is LCD
-    iff G1 G1^T is nonsingular (Massey): one rank test of the block's Gram
-    matrices, on bit masks over GF(2).  One ``bz_min_distance`` call
-    on a block's LCD G1s (pivots 0..m-1) gives their distances; lengths 2m
-    past a 64-bit mask over GF(2), and q^m above ``ENUM_CAP``, are refused."""
+    first serial of the largest distance wins.  G1 = [I | circ(a)], from the
+    serials' digits in numpy, is LCD iff G1 G1^T is nonsingular (Massey):
+    every row of the block's Gram matrices pivots in one ``_reduce_stack``,
+    on bit masks over GF(2) ``_reduce_gf2_stack``.  One ``bz_min_distance``
+    call on a block's LCD G1s (pivots 0..m-1) gives their distances; lengths
+    2m past a 64-bit mask over GF(2), and q^m above ``ENUM_CAP``, are refused."""
     q = base.order
     # the scalar multiples of a block, about (q - 1) m^2 entries a code, stay near _CHUNK
     size = max(1, min(_DC_BLOCK, _CHUNK // ((q - 1) * m * m)))
@@ -183,11 +184,14 @@ def _dc_scan(base: FiniteField, m: int, serials, weights):
                 raise TooLargeToEnumerate(f"codewords of length {2 * m} exceed a 64-bit mask")
             block = list(itertools.compress(block, lcd))
             g1 = (np.array(block, dtype=np.int64)[:, None] << 2 | 2) >> np.arange(m + 2) & 1
-        else:
-            g1 = np.array([[0, 1] + _serial_to_coeffs(s, q, m) for s in block], dtype=np.int64)
+        else:  # [0, 1, a_0, ...] a place at a time: serials reach 2^64 - 1, q^m may pass it
+            g1, s = np.zeros((len(block), m + 2), dtype=np.int64), np.array(block, dtype=np.uint64)
+            g1[:, 1] = 1
+            for i in range(2, m + 2):
+                s, g1[:, i] = np.divmod(s, q)
         g1 = g1.reshape(len(block), m + 2)[:, _dc_positions(m)]
         if q > 2:
-            lcd = _rref_stack(base, _gram(base, g1))[1][:, -1] >= 0
+            lcd = (_reduce_stack(base, _gram(base, g1), range(m))[1] >= 0).all(axis=1)
             if lcd.any() and q**m > ENUM_CAP:
                 raise TooLargeToEnumerate(f"{q}^{m} codewords exceed the enumeration cap")
             block, g1 = list(itertools.compress(block, lcd)), g1[lcd]

@@ -3,8 +3,9 @@
 Generator matrices are kept in canonical reduced row-echelon form, so code
 equality is a plain matrix comparison.  Every elimination of one matrix
 (``rref``, ``LinearCode.contains``) runs through the field's one row
-operation ``FiniteField.row_sub_raw``; stacks of matrices are reduced whole
-in numpy (``_rref_stack``), as are their Gram matrices (``_gram``).
+operation ``FiniteField.row_sub_raw``; a stack of matrices is reduced in
+numpy one row at a time inside a set of columns (``_reduce_stack``, on bit
+masks ``_reduce_gf2_stack``), and its Gram matrices are formed whole (``_gram``).
 
 Minimum distance is exact.  One Brouwer-Zimmermann engine,
 ``bz_min_distance``, gives one distance per code of a stack: a stack of one
@@ -329,31 +330,6 @@ def _gram(field: FiniteField, stack, e: int = 1) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _rref_stack(field: FiniteField, stack) -> tuple[np.ndarray, np.ndarray]:
-    """``rref`` of each matrix of a (B, k, n) stack of raw codes: the reduced
-    stack, zero rows last, and the (B, k) pivot columns, -1 past each rank.
-    Each matrix with a pivot in the column swaps it up and clears the rest."""
-    M = np.array(stack, dtype=np.int64)
-    B, k, n = M.shape
-    pivots, r = np.full((B, k), -1), np.zeros(B, dtype=np.int64)
-    for c in range(n):
-        if r.min(initial=k) == k:
-            break
-        free = (M[:, :, c] != 0) & (np.arange(k) >= r[:, None])
-        b = np.flatnonzero(free.any(axis=1))
-        if not b.size:
-            continue
-        rb, at = r[b], free[b].argmax(axis=1)
-        lead = M[b, at]
-        M[b, at] = M[b, rb]
-        M[b, rb] = lead = _vmul(field, lead, lead[:, c, None], -1)
-        f = _vmul(field, field.neg_raw(1), M[b, :, c])
-        f[np.arange(b.size), rb] = 0
-        M[b] = _vadd(field, M[b], _vmul(field, f[:, :, None], lead[:, None, :]))
-        pivots[b, rb], r[b] = c, rb + 1
-    return M, pivots
-
-
 # ---------------------------------------------------------------------------
 # Brouwer-Zimmermann minimum distance
 # ---------------------------------------------------------------------------
@@ -428,6 +404,27 @@ def _reduce_gf2_stack(masks, cols: int) -> tuple[np.ndarray, np.ndarray]:
     return g, bits
 
 
+def _reduce_stack(field: FiniteField, stack, cols) -> tuple[np.ndarray, np.ndarray]:
+    """``_reduce_gf2`` of each matrix of a (B, k, n) stack of raw codes over
+    any field, inside a list of columns, one numpy step per row: the reduced
+    stack and the (B, k) pivot columns, -1 for a row zero inside cols at its
+    turn.  A step takes the matrices that pivot, the whole stack if all do."""
+    M = np.array(stack, dtype=np.int64)
+    B, k, _ = M.shape
+    cols, pivots = np.asarray(cols, dtype=np.intp), np.full((B, k), -1)
+    for r in range(k if cols.size else 0):
+        c = cols[(M[:, r, cols] != 0).argmax(axis=1)]
+        lead = M[np.arange(B), r, c]  # 0: no pivot in this matrix
+        b = slice(None) if lead.all() else np.flatnonzero(lead)
+        X, c = M[b], c[b]
+        row = _vmul(field, X[:, r], lead[b, None], -1)
+        f = _vmul(field, field.neg_raw(1), X[np.arange(len(X)), :, c])
+        X = _vadd(field, X, _vmul(field, f[:, :, None], row[:, None]))
+        X[:, r] = row
+        M[b], pivots[b, r] = X, c
+    return M, pivots
+
+
 def _multiples(field: FiniteField, mats) -> np.ndarray:
     """mults[j, s - 1] = s * mats[j] for every nonzero scalar s, in the
     narrowest unsigned type that holds the sum of two raw codes, so the
@@ -446,16 +443,17 @@ def bz_min_distance(field: FiniteField, stack, pivots) -> np.ndarray:
     """Minimum distance of each code of a (B, k, n) stack of generators that
     are the identity at ``pivots``, by one Brouwer-Zimmermann search.
 
-    Matrix j > 1 of a code is its generator reduced with its still-unused
-    columns first; r_j counts its new pivots there.  A set of rank r raises
+    Matrix j > 1 of a code is its generator reduced inside its still-unused
+    columns; r_j counts its new pivots there.  A set of rank r raises
     ``_bz_bound`` only from w = k - r on, so a code stops taking sets when,
     at the best rank min(k, unused columns), its search would stop before
     that anyway: the bound already reaches its lightest row, or k = 1.
-    Codes with the same used columns are reduced together (``_rref_stack``,
-    or the list ``rref`` for a lone code, faster on one small matrix).  For
-    w = 1, 2, ... the sums of w rows with first coefficient 1 of each
-    matrix stand for all words of information weight w; a code stops when
-    its bound reaches the lightest word seen, and at w = k at the latest.
+    Codes with the same used columns are reduced together (``_reduce_stack``
+    or ``_reduce_gf2_stack``), a lone code by the list ``rref`` or
+    ``_reduce_gf2``, faster on one small matrix.  For w = 1, 2, ... the
+    sums of w rows with first coefficient 1 of each matrix stand for all
+    words of information weight w; a code stops when its bound reaches the
+    lightest word seen, and at w = k at the latest.
     Binary codes with n <= 63 run on int64 bit masks (XOR, popcount);
     other row sums run in the narrow type of ``_multiples``.
     """
@@ -489,15 +487,13 @@ def bz_min_distance(field: FiniteField, stack, pivots) -> np.ndarray:
                 else:
                     reduced, bits = _reduce_gf2_stack(G[members], mask)
                     new = [[b.bit_length() - 1 for b in p if b] for p in bits.tolist()]
-            else:
+            elif len(members) == 1:
                 order = unused + sorted(cols)
-                perm = G[members][:, :, order]
-                if len(members) == 1:
-                    reduced, piv = zip(rref(field, perm[0].tolist()))
-                else:
-                    reduced, piv = _rref_stack(field, perm)
-                piv = np.asarray(piv).tolist()
-                new = [[order[c] for c in p if 0 <= c < len(unused)] for p in piv]
+                reduced, piv = zip(rref(field, G[members[0]][:, order].tolist()))
+                new = [[order[c] for c in piv[0] if c < len(unused)]]
+            else:
+                reduced, piv = _reduce_stack(field, G[members], unused)
+                new = [[c for c in p if c >= 0] for p in piv.tolist()]
             for b, g, got in zip(members, reduced, new):
                 if got:
                     mats.append(g)

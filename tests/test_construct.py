@@ -30,7 +30,7 @@ from qccd.errors import (
 )
 from qccd.field import FieldElement, make_field
 from qccd.lincode import LinearCode, _span_weights_gf2, bz_min_distance, min_weight
-from qccd.polyring import Poly
+from qccd.polyring import Poly, poly_gcd, xm_minus_one
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -297,6 +297,23 @@ def test_bz_distance_refuses_large_codes():
         double_circulant(F3, 16, Poly.zero(F3)).expand().min_distance()
 
 
+def test_dc_scan_takes_exact_digits_of_serials_past_2_63():
+    # random serials reach 2^64 - 1, and the place values 3^41..3^43 of m = 44
+    # pass 2^64: with exact digits the screen refuses exactly the serials the
+    # gcd criterion calls LCD
+    rng = random.Random(9)
+    verdicts = set()
+    for serial in [2**64 - 1, 2**63 + 5] + [rng.getrandbits(64) for _ in range(10)]:
+        lcd = dc_is_lcd(F3, 44, Poly(F3, cc._serial_to_coeffs(serial, 3, 44)))
+        verdicts.add(lcd)
+        if lcd:
+            with pytest.raises(TooLargeToEnumerate):
+                cc._dc_scan(F3, 44, [serial], [1])
+        else:
+            assert cc._dc_scan(F3, 44, [serial], [1]) == (0, -1, -1)
+    assert verdicts == {True, False}
+
+
 def _reference_scan(base, m, serials, mode="exhaustive", first_tie=False):
     # dc_search's report from a test of every serial given, ties broken
     # toward the smallest serial or, with first_tie, the first one given
@@ -358,6 +375,19 @@ def test_dc_search_random_keeps_first_tie_across_blocks(monkeypatch, field, m, t
     assert first.best_serial != _reference_scan(field, m, serials, mode="random").best_serial
     got = dc_search(field, m, mode="random", seed=seed, trials=trials)
     assert got == replace(first, seed=seed)
+
+
+@pytest.mark.parametrize("field, m, trials, seed", [(F3, 8, 100, 1), (F4, 7, 120, 2)])
+def test_dc_search_random_at_benchmark_shapes(field, m, trials, seed):
+    # some LCD candidates have a singular circ(a), so the second information
+    # set of their stacked reduction is rank-deficient
+    serials = list(cc._random_serials(seed, trials, field.order**m))
+    drawn = [Poly(field, cc._serial_to_coeffs(s, field.order, m)) for s in serials]
+    assert any(dc_is_lcd(field, m, a) and poly_gcd(a, xm_minus_one(field, m)).degree > 0
+               for a in drawn)
+    expected = _reference_scan(field, m, serials, mode="random", first_tie=True)
+    got = dc_search(field, m, mode="random", seed=seed, trials=trials)
+    assert got == replace(expected, seed=seed)
 
 
 @pytest.mark.parametrize("block", [1, 3, cc._DC_BLOCK])

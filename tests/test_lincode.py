@@ -372,23 +372,52 @@ def test_rref_matches_per_element_reference(field):
     assert rref(field, []) == ([], [])
 
 
+@pytest.mark.parametrize("n,k", [(1, 1), (5, 2), (20, 7), (63, 17)])
+def test_reduce_stack_over_gf2_is_the_mask_kernel(n, k):
+    # the same algorithm as _reduce_gf2: the same rows and pivots, on raw codes
+    rng = random.Random(n * 100 + k + 1)
+
+    def bits(masks):
+        return [[x >> j & 1 for j in range(n)] for x in masks]
+
+    for cols in ([], list(range(n)), sorted(rng.sample(range(n), rng.randrange(n + 1)))):
+        for size in (1, 9):  # with zero and repeated rows
+            stack = [[rng.getrandbits(n) if rng.random() < 0.8 else 0 for _ in range(k)]
+                     for _ in range(size)]
+            if size > 1:
+                stack[0], stack[1] = [0] * k, [stack[1][0]] * k
+            reduced, pivots = lc._reduce_stack(F2, [bits(masks) for masks in stack], cols)
+            assert reduced.shape == (size, k, n) and pivots.shape == (size, k)
+            for masks, got, piv in zip(stack, reduced.tolist(), pivots.tolist()):
+                want, want_piv = lc._reduce_gf2(masks, sum(1 << c for c in cols))
+                assert got == bits(want)
+                assert [c for c in piv if c >= 0] == want_piv
+
+
 @pytest.mark.parametrize("field", [F2, F3, F4, F5, F9])
-def test_rref_stack_matches_rref(field):
-    # each matrix of the stack reduced as rref reduces it alone
+def test_reduce_stack_pivots_inside_cols(field):
+    # unit pivot columns inside cols, other rows zero there, the rank of the
+    # cols submatrix, and the row space unchanged
     rng = random.Random(field.order + 11)
-    for k, n in [(1, 1), (1, 4), (3, 5), (4, 4), (6, 3), (5, 8), (7, 2)]:
-        stack = [raw_rows(rng, field, n, k) for _ in range(6)]  # zero, dependent rows
-        stack[1] = [[0] * n for _ in range(k)]
-        if k >= 2:
-            stack[2][-1] = list(stack[2][0])  # repeated row
-        R, pivots = lc._rref_stack(field, np.array(stack))
-        assert R.shape == (6, k, n) and pivots.shape == (6, k)
-        for rows, got, piv in zip(stack, R.tolist(), pivots.tolist()):
-            want, want_piv = rref(field, rows)
-            rank = len(want_piv)
-            assert (got[:rank], piv[:rank]) == (want, want_piv), rows
-            assert piv[rank:] == [-1] * (k - rank)
-            assert not any(map(any, got[rank:]))
+    for k, n in [(1, 1), (1, 4), (3, 5), (4, 4), (6, 3), (5, 8), (8, 16)]:
+        for cols in ([], list(range(n)), sorted(rng.sample(range(n), rng.randrange(1, n + 1)))):
+            for size in (1, 6):
+                stack = [raw_rows(rng, field, n, k) for _ in range(size)]  # zero, dependent rows
+                if size > 1:
+                    stack[1] = [[0] * n for _ in range(k)]
+                    stack[2][-1] = list(stack[2][0])  # repeated row
+                R, pivots = lc._reduce_stack(field, np.array(stack), cols)
+                assert R.shape == (size, k, n) and pivots.shape == (size, k)
+                for rows, got, piv in zip(stack, R.tolist(), pivots.tolist()):
+                    for i, c in enumerate(piv):
+                        if c >= 0:
+                            assert c in cols
+                            assert [g[c] for g in got] == [int(j == i) for j in range(k)]
+                        else:
+                            assert not any(got[i][c] for c in cols)
+                    rank = len(rref(field, [[r[c] for c in cols] for r in rows])[1])
+                    assert sum(c >= 0 for c in piv) == rank
+                    assert rref(field, got) == rref(field, rows)
 
 
 @pytest.mark.parametrize("field,form", [
@@ -621,7 +650,9 @@ def test_bz_engine_at_the_narrow_type_limit(field):
 
 @pytest.mark.parametrize("field,b,c", [
     (F2, [1, 1, 0, 0], [0, 1, 1, 1]),  # bit masks
-    (F3, [1, 1, 1, 0], [0, 0, 1, 1]),  # raw codes, stacked reduction
+    # raw codes, stacked reduction: rows 2 and 3 have no pivot in the second
+    # set and become e0 - e1 + e2, e0 - e1 + e3, so w = 1 sees no weight 2
+    (F3, [0, 1, 1, 1], [1, 1, 0, 0]),
 ])
 def test_bz_bound_counts_only_the_new_pivots_on_stacks(monkeypatch, field, b, c):
     # the same [I_4 | b b c c] inside a stack of other codes

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -24,3 +25,13 @@ def test_reproduce_dc_table_smoke(capsys):
     assert "MISMATCH" not in out
     rows = [line.split()[:2] for line in out.splitlines()[1:]]
     assert rows == [["3", "1"], ["5", "3"], ["7", "4"], ["9", "3"]]
+
+
+def test_time_kernels_smoke(capsys):
+    timer = load_script("time_kernels")
+    assert timer.main(["--runs", "1"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert {"nproc", "python", "numpy"} <= result.keys()
+    times = result["median_us"]
+    assert len(times) == 4 * 3 * 3 * 2 + 3 * 3  # every shape, mask kernel on GF(2) only
+    assert all(t > 0 for t in times.values())
