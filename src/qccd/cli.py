@@ -259,14 +259,10 @@ def cmd_descend(args) -> int:
     with open(args.infile) as fh:
         C = io.parse_code(fh.read())
     Q = C.field.order
-    field_from_order(args.q)  # a field order, so the loop below ends
-    ell = 0
-    qq = 1
-    while qq < Q:
-        qq *= args.q
-        ell += 1
-    if qq != Q:
+    sub = field_from_order(args.q)
+    if not C.field.is_subfield(sub):
         raise QccdError(f"{args.q} is not a subfield order of {Q}")
+    ell = C.field.k // sub.k
     if C.n * ell > MAX_LENGTH:
         raise InvalidParameter(f"descended length {C.n * ell} exceeds {MAX_LENGTH}")
     B = construct.self_dual_basis(args.q, ell)

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .field import FieldElement, FiniteField, field_from_order, make_field
 from .lincode import _CHUNK, ENUM_CAP, LinearCode, _gram, _reduce_stack, bz_min_distance
-from .lincode import _popcount, _reduce_gf2_stack
+from .lincode import _reduce_gf2_stack
 from .polyring import Poly, poly_gcd, xm_minus_one
 from .qc import QcCode
 
@@ -159,7 +159,7 @@ def _dc_screen_gf2(serials, m: int) -> np.ndarray:
     ``_reduce_gf2_stack`` finds a pivot in every row."""
     a, j, full = np.asarray(serials, dtype=np.int64)[:, None], np.arange(m), (1 << m) - 1
     times_x = lambda b: (b << j | b >> (m - j)) & full  # noqa: E731  x^j b mod x^m - 1, every j
-    first = (_popcount(a & times_x(a)) & 1).astype(np.int64) @ (1 << j) ^ 1
+    first = (np.bitwise_count(a & times_x(a)) & 1).astype(np.int64) @ (1 << j) ^ 1
     return _reduce_gf2_stack(times_x(first[:, None]), full)[1].all(axis=1)
 
 

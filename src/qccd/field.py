@@ -320,10 +320,6 @@ class FiniteField:
             raise ValueError(f"element code {raw} out of range for {self}")
         return FieldElement(self, raw)
 
-    def elements(self):
-        for raw in range(self.order):
-            yield FieldElement(self, raw)
-
     # -- subfield machinery ------------------------------------------------
     def is_subfield(self, sub: "FiniteField") -> bool:
         return sub.p == self.p and self.k % sub.k == 0
@@ -445,9 +441,6 @@ class FieldElement:
         if e < 0:
             return FieldElement(self.field, self.field.pow_raw(self.field.inv_raw(self.raw), -e))
         return FieldElement(self.field, self.field.pow_raw(self.raw, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_raw(self.raw))
 
     def frobenius(self, j: int) -> "FieldElement":
         if j < 0:

@@ -240,20 +240,6 @@ class LinearCode:
 # codeword enumeration
 # ---------------------------------------------------------------------------
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr)
-    table = _popcount.__dict__.setdefault(
-        "_table", np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
-    )
-    out = np.zeros_like(arr)
-    a = arr.copy()
-    while a.any():
-        out += table[a & 0xFFFF]
-        a >>= 16
-    return out
-
-
 def _mod(A: np.ndarray, p: int) -> np.ndarray:
     """A mod p in place (A fresh): numpy divides ~3x faster than it takes a remainder."""
     A -= A // p * p
@@ -280,7 +266,7 @@ def _span_weights_gf2(masks) -> np.ndarray:
     arr = np.zeros(1, dtype=np.int64)
     for w in masks:
         arr = np.concatenate([arr, np.bitwise_xor(arr, np.int64(w))])
-    return _popcount(arr)
+    return np.bitwise_count(arr)
 
 
 @lru_cache(maxsize=None)
@@ -461,7 +447,7 @@ def bz_min_distance(field: FiniteField, stack, pivots) -> np.ndarray:
     codes, k, n = G.shape
     packed = field.order == 2 and n <= 63
     if packed:
-        G, weigh = G @ (1 << np.arange(n, dtype=np.int64)), _popcount
+        G, weigh = G @ (1 << np.arange(n, dtype=np.int64)), np.bitwise_count
     else:
         weigh = lambda words: np.count_nonzero(words, axis=-1)  # noqa: E731
     best = weigh(G).min(axis=1).astype(np.int64)

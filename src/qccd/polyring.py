@@ -40,10 +40,6 @@ class Poly:
     def one(cls, field):
         return cls(field, (1,))
 
-    @classmethod
-    def x(cls, field):
-        return cls(field, (0, 1))
-
     # -- basics ------------------------------------------------------------
     @property
     def degree(self) -> int:

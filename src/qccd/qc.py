@@ -1,15 +1,16 @@
 """Quasi-cyclic codes as modules over R = F_q[x]/(x^m - 1).
 
-A QC code is held by generator tuples in R^ell.  The constituent
-decomposition evaluates the generators at powers of a primitive m-th root
-of unity and spans over the attached subfield; the inverse direction
+A QC code is held by generator tuples in R^ell; each generator's F_q-span
+follows from its rank, m - deg gcd(v_1, ..., v_ell, x^m - 1).  The
+constituent decomposition evaluates the generators at powers of a
+primitive m-th root of unity and spans over the splitting field, with
+subfield membership asserted after every reduction.  The inverse direction
 rebuilds generator tuples by the trace formula of Ling & Sole ("On the
 algebraic structure of quasi-cyclic codes I: finite fields", IEEE Trans.
-IT 47, 2001), a closed form in the primitive idempotents of the splitting
-field.  All constituent linear algebra is carried out inside the
-splitting field, with subfield membership asserted after every reduction;
-a constituent's minimum distance is taken over its own subfield, where its
-RREF rows already lie (extending scalars never changes a distance).
+IT 47, 2001), a closed form in the primitive idempotents, traced in each
+slot's own field GF(q^deg).  A constituent's minimum distance is taken
+over that field too, where its RREF rows already lie (extending scalars
+never changes a distance).
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .field import FiniteField, field_from_order
 from .lincode import LinearCode
-from .polyring import FactorProfile, Poly, factor_xm_minus_1, xm_minus_one
+from .polyring import FactorProfile, Poly, factor_xm_minus_1, poly_gcd, xm_minus_one
 
 
 @dataclass(frozen=True)
@@ -61,26 +62,19 @@ class QcCode:
         return cls(base, m, ell, tuple(gens))
 
     def expand(self) -> LinearCode:
-        """F_q-linear view: the cyclic-shift images of every generator,
-        written blockwise per coordinate, kept in RREF as they come.  A
-        generator's shifts stop at the first one already in the span: the
-        span is then closed under x, so every later shift lies in it too."""
-        F, rows = self.base, {}  # pivot -> row, 1 there and 0 at every other pivot
+        """F_q-linear view, written blockwise per coordinate.  A generator v
+        spans R v = R/(h), h = (x^m - 1)/g with g = gcd(v_1, ..., v_ell,
+        x^m - 1), so its first m - deg g shifts are a basis of R v; one RREF
+        reduces the stacked bases of all generators."""
+        m, rows = self.m, []
         for gen in self.gens:
-            for s in range(self.m):
-                v = [c for a in gen for c in a.shift_mod_xm(s, self.m).padded_coeffs(self.m)]
-                for pc, row in rows.items():
-                    if v[pc]:
-                        v = F.row_sub_raw(v, v[pc], row)
-                pc = next((j for j, c in enumerate(v) if c), None)
-                if pc is None:
-                    break
-                v = F.row_sub_raw([0] * len(v), F.neg_raw(F.inv_raw(v[pc])), v)
-                for p, row in rows.items():
-                    if row[pc]:
-                        rows[p] = F.row_sub_raw(row, row[pc], v)
-                rows[pc] = v
-        return LinearCode(F, self.m * self.ell, [rows[p] for p in sorted(rows)], sorted(rows))
+            g = xm_minus_one(self.base, m)
+            for a in gen:
+                g = poly_gcd(g, a)
+            blocks = [a.padded_coeffs(m) for a in gen]  # x^s rotates each block by s
+            rows += [[c for b in blocks for c in b[m - s:] + b[:m - s]]
+                     for s in range(m - g.degree)]
+        return LinearCode.from_rows(self.base, m * self.ell, rows)
 
     def __repr__(self):
         return f"QcCode({self.base}, m={self.m}, ell={self.ell}, r={len(self.gens)})"
@@ -109,8 +103,9 @@ def _assert_subfield(splitting: FiniteField, rows, suborder: int):
 
 
 def _own_field(splitting: FiniteField, part: LinearCode, suborder: int) -> LinearCode:
-    """The constituent as a code over GF(suborder), which holds its RREF
+    """The constituent as a code over GF(suborder), which must hold its RREF
     rows: the retract keeps the pivots, so the rows stay canonical."""
+    _assert_subfield(splitting, part.rows, suborder)
     sub = field_from_order(suborder)
     _, retract = splitting.embedding(sub)
     rows = [[retract[z] for z in row] for row in part.rows]
@@ -139,14 +134,6 @@ class ConstituentSet:
 
     def fq_dimension(self) -> int:
         return sum(f.degree * part.k for f, _, part in self.slots())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConstituentSet)
-            and other.profile == self.profile
-            and other.self_parts == self.self_parts
-            and other.pair_parts == self.pair_parts
-        )
 
 
 def constituents(C: QcCode) -> ConstituentSet:
@@ -188,44 +175,38 @@ def _idempotent(profile: FactorProfile, exp: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _interp_matrix(profile: FactorProfile, exp: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """W[j][t] = E_j^(q^t), so that Tr(c E_j) = sum_t c^(q^t) W[j][t]."""
-    S, q = profile.splitting, profile.base.order
-    return tuple(
-        tuple(S.pow_raw(e, q**t) for t in range(degree)) for e in _idempotent(profile, exp)
-    )
+def _interp_matrix(profile: FactorProfile, exp: int, degree: int) -> tuple[int, ...]:
+    """The idempotent's coefficients E_j as codes of its own field
+    GF(q^degree), where they lie: xi^exp is fixed by x -> x^(q^degree).
+    The name stays because ``bench/tracing.py`` reads this cache by name."""
+    _, into = profile.splitting.embedding(field_from_order(profile.base.order**degree))
+    return tuple(into[e] for e in _idempotent(profile, exp))
 
 
 def from_constituents(cs: ConstituentSet) -> QcCode:
     """Inverse CRT by the trace formula (Ling & Sole, IEEE Trans. IT 47,
     2001): an entry c of the constituent at xi^e, of degree d, becomes the
     block a_j = Tr_{F_{q^d}/F_q}(c E_j), j < m, with E_j the coefficients of
-    the idempotent at xi^e.  One generator tuple per basis vector of each
-    constituent, supported on that slot only."""
+    the idempotent at xi^e.  The product and the trace are read in the
+    slot's own field GF(q^d); its copy of F_q need not be the one the
+    splitting field holds, so each trace is read back through the splitting
+    field.  One generator tuple per basis vector of each constituent,
+    supported on that slot only."""
     profile = cs.profile
     base, S = profile.base, profile.splitting
-    m, q = profile.m, base.order
     _, retract = S.embedding(base)
     gens = []
     for f, exp, part in cs.slots():
-        degree = f.degree
-        _assert_subfield(S, part.rows, q**degree)
-        W = _interp_matrix(profile, exp, degree)
-        for row in part.rows:
-            gen = []
-            for c in row:
-                conj = [S.pow_raw(c, q**t) for t in range(degree)]
-                coeffs = []
-                for w in W:
-                    acc = 0
-                    for x, y in zip(conj, w):
-                        acc = S.add_raw(acc, S.mul_raw(x, y))
-                    coeffs.append(retract[acc])
-                gen.append(Poly(base, coeffs))
-            gens.append(tuple(gen))
+        own = _own_field(S, part, base.order**f.degree)
+        F = own.field
+        up, _ = S.embedding(F)
+        back = [retract[up[z]] for z in F.embedding(base)[0]]
+        tr, E = F.trace_table(base), _interp_matrix(profile, exp, f.degree)
+        gens += [tuple(Poly(base, [back[tr[F.mul_raw(c, e)]] for e in E]) for c in row)
+                 for row in own.rows]
     if not gens:
         gens = [tuple(Poly.zero(base) for _ in range(cs.ell))]
-    return QcCode.make(base, m, cs.ell, gens)
+    return QcCode.make(base, profile.m, cs.ell, gens)
 
 
 # ---------------------------------------------------------------------------

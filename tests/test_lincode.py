@@ -235,13 +235,6 @@ def test_zero_code_distance_undefined():
         C.min_distance()
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**30 - 1))
-def test_popcount_matches_python(x):
-    arr = np.array([x], dtype=np.int64)
-    assert int(lc._popcount(arr)[0]) == bin(x).count("1")
-
-
 def test_krawtchouk_row_sums():
     # sum_j K_j(i) over all j equals q^n at i = 0 only via j=0..n with x=0:
     # a simpler sanity: K_j(0) = (q-1)^j C(n,j)

@@ -86,15 +86,26 @@ def all_shifts(C):
 
 
 def test_expand_matches_all_shifts():
-    # shifts stop at the first one in the span; the RREF is the same
+    # m - deg gcd(v_1, ..., v_ell, x^m - 1) shifts per generator; the RREF is the same
     F4 = make_field(2, 2)
     rng = random.Random(7)
     codes = CODES + [from_constituents(constituents(C)) for C in CODES[:20]]
     codes += [random_qc(rng, F4, 5, 3, 3), QcCode.make(F3, 5, 2, [(Poly.zero(F3),) * 2] * 2)]
-    for C in codes:
+    # repeated roots: the characteristic divides m
+    repeated = [random_qc(rng, base, m, ell, r)
+                for base, m in ((F2, 4), (F2, 6), (F3, 6)) for ell in (2, 3) for r in (1, 2)]
+    # a multiple of the first generator, so the stacked bases exceed k, and a zero generator
+    for C in repeated + CODES[:12]:
+        v, zero = C.gens[0], (Poly.zero(C.base),) * C.ell
+        w = tuple(a.mul_mod_xm(Poly(C.base, [1, 1, 1]), C.m) for a in v)
+        lone = QcCode.make(C.base, C.m, C.ell, [v]).expand()
+        assert QcCode.make(C.base, C.m, C.ell, [v, w]).expand() == lone, C
+        assert QcCode.make(C.base, C.m, C.ell, [zero, v]).expand() == lone, C
+    for C in codes + repeated:
         lin, ref = C.expand(), all_shifts(C)
         assert lin == ref and lin.pivot_cols == ref.pivot_cols, C
     assert any(C.expand().k < C.m * len(C.gens) for C in codes[60:80])
+    assert any(C.expand().k < C.m * len(C.gens) for C in repeated)
 
 
 def test_from_rows_roundtrip():
@@ -308,9 +319,10 @@ def test_twod_cyclic_rejects_nonreversible():
 # extension-field bases and the inverse CRT
 # ---------------------------------------------------------------------------
 
+# GF(2) at m = 21 has slot fields GF(4) and GF(8) strictly inside its splitting field GF(64)
 EXT_GRID = [
-    (q, m, ell) for q in (4, 9) for m in (3, 5, 7) for ell in (2, 3, 4) if math.gcd(m, q) == 1
-]
+    (q, m, ell) for q in (4, 5, 8, 9) for m in (3, 5, 7) for ell in (2, 3, 4) if math.gcd(m, q) == 1
+] + [(2, 21, ell) for ell in (2, 3)]
 
 
 def extension_codes(count, seed=20261018):
@@ -322,11 +334,11 @@ def extension_codes(count, seed=20261018):
     return out
 
 
-EXT_CODES = extension_codes(24)
+EXT_CODES = extension_codes(36)
 
 
 def test_extension_bases_certify_roundtrip_and_dimension():
-    assert {C.base.order for C in EXT_CODES} == {4, 9}
+    assert {C.base.order for C in EXT_CODES} == {2, 4, 5, 8, 9}
     for C in EXT_CODES:
         lin = C.expand()
         verdict, _ = is_qccd(C)
@@ -343,12 +355,19 @@ M1_CODES = [
 ]
 
 
+# slot fields strictly between a non-prime base and the splitting field,
+# whose own copy of the base is not the one the splitting field holds
+TOWER_CODES = [
+    random_qc(random.Random(q), field_from_order(q), m, 1, 1) for q, m in ((4, 35), (8, 39), (9, 32))
+]
+
+
 def test_inverse_crt_evaluates_to_constituents():
     # each generator takes its constituent entry at its slot root, the
     # conjugates of that entry at the conjugate roots, and 0 at every other
     # m-th root of unity
-    covered = {"self": 0, "pair": 0}
-    for C in CODES + EXT_CODES + M1_CODES:
+    covered = {"self": 0, "pair": 0, "between": 0}
+    for C in CODES + EXT_CODES + M1_CODES + TOWER_CODES:
         cs = constituents(C)
         profile = cs.profile
         S, q, m = profile.splitting, C.base.order, C.m
@@ -362,8 +381,9 @@ def test_inverse_crt_evaluates_to_constituents():
                     for i in range(m):
                         assert a.evaluate(profile.xi**i).raw == expected.get(i, 0), (C, exp, i)
                 covered["self" if idx < profile.s else "pair"] += 1
+                covered["between"] += q < q**degree < S.order
     assert {C.m for C in M1_CODES} == {1}
-    assert covered["self"] and covered["pair"], covered
+    assert all(covered.values()), covered
 
 
 def test_idempotent_is_primitive():

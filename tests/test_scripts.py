@@ -33,5 +33,6 @@ def test_time_kernels_smoke(capsys):
     result = json.loads(capsys.readouterr().out)
     assert {"nproc", "python", "numpy"} <= result.keys()
     times = result["median_us"]
-    assert len(times) == 4 * 3 * 3 * 2 + 3 * 3  # every shape, mask kernel on GF(2) only
+    # every DC shape, mask kernel on GF(2) only; two QC kernels on 11 (q, m) shapes, r = 1, 2
+    assert len(times) == 4 * 3 * 3 * 2 + 3 * 3 + 2 * 11 * 2
     assert all(t > 0 for t in times.values())
