@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Time the elimination kernels of the double-circulant search and the
-two directions of the quasi-cyclic CRT.
+"""Time the kernels of the double-circulant search and the two directions
+of the quasi-cyclic CRT.
 
 Each DC shape is a stack of B seeded generators G = [I_m | circ(a)] over
 GF(q), k = m rows and n = 2m columns, reduced inside the right half as the
 Brouwer-Zimmermann engine takes its second information set:
 ``lincode._reduce_stack`` on the whole stack, ``lincode._reduce_gf2_stack``
 on bit masks (q = 2 only), and the list ``rref`` on each matrix alone with
-the right half first.  Each QC shape is a list of QC_CODES seeded
+the right half first; and the LCD screen ``construct._dc_screen`` on the
+stack's coefficient rows a, on the shapes with m prime to q (m = 8 is
+skipped over GF(2) and GF(4)).  Each QC shape is a list of QC_CODES seeded
 systematic codes of ``bench``'s certify shapes (ell = 3, r generators,
 dimension r*m), plus GF(2) at m = 21: ``QcCode.expand`` on each, and
 ``qc.from_constituents`` on each one's constituents, which are taken
@@ -27,6 +29,7 @@ import time
 import numpy as np
 
 from qccd import QcCode, constituents, from_constituents, make_field
+from qccd.construct import _dc_screen
 from qccd.lincode import _reduce_gf2_stack, _reduce_stack, rref
 from qccd.polyring import Poly
 
@@ -87,6 +90,9 @@ def main(argv=None):
                 lists = stack[:, :, order].tolist()
                 times[f"rref/{shape}"] = median_us(
                     lambda: [rref(field, rows) for rows in lists], args.runs)
+                if m % p:
+                    times[f"dc_screen/{shape}"] = median_us(
+                        lambda: _dc_screen(field, m, stack[:, 0, m:]), args.runs)
     for q, m in QC_SHAPES:
         field = make_field(*FIELDS[q])
         for r in (1, 2):

@@ -17,7 +17,7 @@ from . import construct, cyclic, io, qc
 from .errors import InvalidParameter, QccdError, TooLargeToEnumerate
 from .field import field_from_order
 from .lincode import MAX_LENGTH, LinearCode
-from .polyring import factor_xm_minus_1
+from .polyring import Poly, factor_xm_minus_1
 
 DC_TABLE_REFERENCE = {3: 1, 5: 3, 7: 4, 9: 3, 11: 6, 13: 7, 15: 5, 17: 8}
 
@@ -220,9 +220,10 @@ def cmd_dc_search(args) -> int:
     }
     if report.seed is not None:
         payload["seed"] = report.seed
-    payload["oracle_agreement"] = True
+    agreement = construct.dc_is_lcd(base, report.m, Poly(base, report.best_a))
+    payload["oracle_agreement"] = agreement
     _emit(payload)
-    return 0
+    return 0 if agreement else 3
 
 
 def cmd_extend_hermitian(args) -> int:

@@ -25,8 +25,7 @@ from .errors import (
     TooLargeToEnumerate,
 )
 from .field import FieldElement, FiniteField, field_from_order, make_field
-from .lincode import _CHUNK, ENUM_CAP, LinearCode, _gram, _reduce_stack, bz_min_distance
-from .lincode import _reduce_gf2_stack
+from .lincode import _CHUNK, ENUM_CAP, LinearCode, _gram, _vadd, bz_min_distance
 from .polyring import Poly, poly_gcd, xm_minus_one
 from .qc import QcCode
 
@@ -86,7 +85,7 @@ def double_circulant(base: FiniteField, m: int, a: Poly) -> QcCode:
 
 def dc_is_lcd(base: FiniteField, m: int, a: Poly) -> bool:
     """gcd(a(x) a(x^(m-1)) + 1, x^m - 1) = 1: the LCD criterion for
-    <(1, a)>, kept as the oracle of the search's Gram-rank test."""
+    <(1, a)>, kept as the oracle of the search's unit test ``_dc_screen``."""
     if math.gcd(m, base.p) != 1:
         raise NotCoprime(f"characteristic {base.p} divides m={m}")
     arev = a.substitute_power(m - 1, m)
@@ -152,54 +151,73 @@ def _dc_orbits(q: int, m: int) -> tuple[list[int], list[int]]:
     return reps, sizes
 
 
-def _dc_screen_gf2(serials, m: int) -> np.ndarray:
-    """Massey's LCD test on a block of binary serials, the bit masks of a:
-    the Gram matrix of [I | circ(a)] is circ(1 + a a*), whose first row has
-    bit j the parity of |a & x^j a|.  It is nonsingular iff
-    ``_reduce_gf2_stack`` finds a pivot in every row."""
-    a, j, full = np.asarray(serials, dtype=np.int64)[:, None], np.arange(m), (1 << m) - 1
-    times_x = lambda b: (b << j | b >> (m - j)) & full  # noqa: E731  x^j b mod x^m - 1, every j
-    first = (np.bitwise_count(a & times_x(a)) & 1).astype(np.int64) @ (1 << j) ^ 1
-    return _reduce_gf2_stack(times_x(first[:, None]), full)[1].all(axis=1)
+def _dc_screen(base: FiniteField, m: int, a: np.ndarray) -> np.ndarray:
+    """Massey's LCD test on a (B, m) stack of coefficient rows a, gcd(m, q) =
+    1: <(1, a)> is LCD iff c = 1 + a a* is a unit of R = F_q[x]/(x^m - 1),
+    a*(x) = a(x^(m-1)).  With t = ord_m(q), N(c) = c(x) c(x^q) ...
+    c(x^(q^(t-1))) is c^(1 + q + ... + q^(t-1)) (the coefficients lie in
+    GF(q)), so in each field GF(q^d) of the CRT decomposition of R it is a
+    power of the norm: in GF(q), and zero exactly where c is.  c is a unit
+    iff N(c)^(q-1) = 1.  N(c) is built by doubling, N_2s = N_s phi^s(N_s)
+    and N_(s+1) = N_s phi^s(c), where phi^s, x -> x^(q^s), permutes the
+    coefficients; every product in R is one ``_gram`` call, so nothing
+    factors x^m - 1 or builds a splitting field."""
+    q, i = base.order, np.arange(m)
+    circ = (i[:, None] - i) % m
+
+    def times(X, Y):  # X Y mod x^m - 1: coefficient j is the sum of X_i Y_(j - i)
+        return _gram(base, X[:, None], other=Y[:, circ])[:, 0]
+
+    def phi(X, s):  # X(x^(q^s)): coefficient j comes from j q^(-s)
+        return X[:, i * pow(q, -s, m) % m]
+
+    c = times(a, a[:, -i % m])
+    c[:, 0] = _vadd(base, c[:, 0], np.int64(1))
+    t = next(t for t in range(1, m + 1) if (q**t - 1) % m == 0)
+    norm, s = c, 1
+    for bit in bin(t)[3:]:
+        norm, s = times(norm, phi(norm, s)), 2 * s
+        if bit == "1":
+            norm, s = times(norm, phi(c, s)), s + 1
+    power = norm
+    for bit in bin(q - 1)[3:]:
+        power = times(power, power)
+        if bit == "1":
+            power = times(power, norm)
+    return (power[:, 0] == 1) & ~power[:, 1:].any(axis=1)
 
 
 def _dc_scan(base: FiniteField, m: int, serials, weights):
     """(lcd_count, best_d, best_serial) over the serials in the given order,
     up to ``_DC_BLOCK`` at a time: an LCD serial counts with its weight, and the
-    first serial of the largest distance wins.  G1 = [I | circ(a)], from the
-    serials' digits in numpy, is LCD iff G1 G1^T is nonsingular (Massey):
-    every row of the block's Gram matrices pivots in one ``_reduce_stack``,
-    on bit masks over GF(2) ``_reduce_gf2_stack``.  One ``bz_min_distance``
-    call on a block's LCD G1s (pivots 0..m-1) gives their distances; lengths
-    2m past a 64-bit mask over GF(2), and q^m above ``ENUM_CAP``, are refused."""
+    first serial of the largest distance wins.  Each block's digits are
+    screened by ``_dc_screen``; one ``bz_min_distance`` call on the block's
+    LCD G1 = [I | circ(a)] (pivots 0..m-1) gives their distances, with the
+    running best as its floor, so it stops every code that cannot beat it.
+    Lengths 2m past a 64-bit mask over GF(2), and q^m above ``ENUM_CAP``,
+    are refused."""
     q = base.order
     # the scalar multiples of a block, about (q - 1) m^2 entries a code, stay near _CHUNK
     size = max(1, min(_DC_BLOCK, _CHUNK // ((q - 1) * m * m)))
     count, best_d, best_serial = 0, -1, -1
     for start in range(0, len(serials), size):
         block = serials[start:start + size]
-        if q == 2:
-            lcd = _dc_screen_gf2(block, m)
-            if lcd.any() and 2 * m > 63:
-                raise TooLargeToEnumerate(f"codewords of length {2 * m} exceed a 64-bit mask")
-            block = list(itertools.compress(block, lcd))
-            g1 = (np.array(block, dtype=np.int64)[:, None] << 2 | 2) >> np.arange(m + 2) & 1
-        else:  # [0, 1, a_0, ...] a place at a time: serials reach 2^64 - 1, q^m may pass it
-            g1, s = np.zeros((len(block), m + 2), dtype=np.int64), np.array(block, dtype=np.uint64)
-            g1[:, 1] = 1
-            for i in range(2, m + 2):
-                s, g1[:, i] = np.divmod(s, q)
-        g1 = g1.reshape(len(block), m + 2)[:, _dc_positions(m)]
-        if q > 2:
-            lcd = (_reduce_stack(base, _gram(base, g1), range(m))[1] >= 0).all(axis=1)
-            if lcd.any() and q**m > ENUM_CAP:
-                raise TooLargeToEnumerate(f"{q}^{m} codewords exceed the enumeration cap")
-            block, g1 = list(itertools.compress(block, lcd)), g1[lcd]
-        if not block:
+        # [0, 1, a_0, ...] a place at a time: serials reach 2^64 - 1, q^m may pass it
+        g1, s = np.zeros((len(block), m + 2), dtype=np.int64), np.array(block, dtype=np.uint64)
+        g1[:, 1] = 1
+        for i in range(2, m + 2):
+            s, g1[:, i] = np.divmod(s, q)
+        lcd = _dc_screen(base, m, g1[:, 2:])
+        if not lcd.any():
             continue
-        d = bz_min_distance(base, g1, range(m))
+        if q == 2 and 2 * m > 63:
+            raise TooLargeToEnumerate(f"codewords of length {2 * m} exceed a 64-bit mask")
+        if q > 2 and q**m > ENUM_CAP:
+            raise TooLargeToEnumerate(f"{q}^{m} codewords exceed the enumeration cap")
+        block, g1 = list(itertools.compress(block, lcd)), g1[lcd][:, _dc_positions(m)]
+        d = bz_min_distance(base, g1, range(m), floor=best_d)
         count += sum(w for w, keep in zip(weights[start:start + size], lcd) if keep)
-        i = int(d.argmax())  # the first of the block's largest distance
+        i = int(d.argmax())  # the first of the block's largest distance, exact if above best_d
         if d[i] > best_d:
             best_d, best_serial = int(d[i]), block[i]
     return count, best_d, best_serial
@@ -238,12 +256,14 @@ def dc_search(
     twice in ``lcd_count``; over GF(2) it breaks ties toward the smallest
     serial, and with q > 2 it keeps the first tie in trial order.
 
-    Candidates are tested in blocks (``_dc_scan``) by the rank of the Gram
-    matrices of G1 = [I | circ(a)], on bit masks over GF(2), with
-    ``dc_is_lcd``, the gcd criterion, as the oracle.
+    Candidates are tested in blocks (``_dc_scan``) by one unit test of
+    1 + a a* in F_q[x]/(x^m - 1) (``_dc_screen``), with ``dc_is_lcd``, the
+    gcd criterion, as the oracle.
     The distances come from ``lincode.bz_min_distance``, the engine behind
     ``LinearCode.min_distance``, given the G1s with pivots 0..m-1, so G1 is
-    never reduced; further information sets lie in the right half.  More
+    never reduced; further information sets lie in the right half.  The
+    best distance so far is the engine's floor: a candidate that cannot
+    beat it stops early, and its upper bound never replaces it.  More
     than ``SEARCH_CAP`` candidates or trials are refused.
     ``workers`` splits the candidates into contiguous chunks, so the report
     is identical for any worker count; it is clamped to the CPUs and the

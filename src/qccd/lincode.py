@@ -5,12 +5,16 @@ equality is a plain matrix comparison.  Every elimination of one matrix
 (``rref``, ``LinearCode.contains``) runs through the field's one row
 operation ``FiniteField.row_sub_raw``; a stack of matrices is reduced in
 numpy one row at a time inside a set of columns (``_reduce_stack``, on bit
-masks ``_reduce_gf2_stack``), and its Gram matrices are formed whole (``_gram``).
+masks ``_reduce_gf2_stack``).  ``_gram`` forms X conj(Y)^T for every pair
+of a stack whole: the Gram matrices of ``LinearCode.gram``, and the
+products in F_q[x]/(x^m - 1) of the double-circulant LCD screen.
 
 Minimum distance is exact.  One Brouwer-Zimmermann engine,
 ``bz_min_distance``, gives one distance per code of a stack: a stack of one
-for ``LinearCode.min_distance`` (k <= n - k), a block of candidates for the
-double-circulant search.  Codes with k > n - k enumerate their dual.
+for ``LinearCode.min_distance`` (k <= n - k), exact; a block of candidates
+for the double-circulant search, with a floor, where only the block's
+first largest distance above the floor must be exact.  Codes with
+k > n - k enumerate their dual.
 
 Enumeration (``weight_distribution``) is projective: scalar multiples of a
 codeword share its weight, so one codeword per class of nonzero scalar
@@ -298,16 +302,18 @@ def _row_multiples(field: FiniteField, R: np.ndarray) -> np.ndarray:
     return np.moveaxis(_vmul(field, s, R[..., None]), -1, 0)
 
 
-def _gram(field: FiniteField, stack, e: int = 1) -> np.ndarray:
-    """X conj(X)^T, conj(x) = x^e, for each X of a (B, k, n) stack; over an
-    extension field the products are taken about ``_SUMS`` at a time."""
+def _gram(field: FiniteField, stack, e: int = 1, other=None) -> np.ndarray:
+    """X conj(Y)^T, conj(y) = y^e, for each X of a (B, k, n) stack and Y of
+    ``other``, a (B, l, n) stack that defaults to X; over an extension
+    field the products are taken about ``_SUMS`` at a time."""
     X, p = np.asarray(stack, dtype=np.int64), field.p
+    Y = X if other is None else np.asarray(other, dtype=np.int64)
     if field.k == 1:  # e = 1; integer products summed before one reduction
-        return _mod(X @ X.swapaxes(1, 2), p)
+        return _mod(X @ Y.swapaxes(1, 2), p)
     B, k, n = X.shape
-    step, parts = max(1, _SUMS // max(1, k * k * n)), []
+    step, parts = max(1, _SUMS // max(1, k * Y.shape[1] * n)), []
     for i in range(0, max(B, 1), step):
-        P = _vmul(field, X[i:i + step, :, None], X[i:i + step, None], e)
+        P = _vmul(field, X[i:i + step, :, None], Y[i:i + step, None], e)
         if p == 2:
             parts.append(np.bitwise_xor.reduce(P, axis=-1))
         else:  # digit d of a sum is the sum of the digits d mod p
@@ -425,7 +431,7 @@ def _multiples(field: FiniteField, mats) -> np.ndarray:
     return mults
 
 
-def bz_min_distance(field: FiniteField, stack, pivots) -> np.ndarray:
+def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None) -> np.ndarray:
     """Minimum distance of each code of a (B, k, n) stack of generators that
     are the identity at ``pivots``, by one Brouwer-Zimmermann search.
 
@@ -438,8 +444,18 @@ def bz_min_distance(field: FiniteField, stack, pivots) -> np.ndarray:
     or ``_reduce_gf2_stack``), a lone code by the list ``rref`` or
     ``_reduce_gf2``, faster on one small matrix.  For w = 1, 2, ... the
     sums of w rows with first coefficient 1 of each matrix stand for all
-    words of information weight w; a code stops when its bound reaches the
-    lightest word seen, and at w = k at the latest.
+    words of information weight w; a code is done when its bound reaches
+    the lightest word seen, and at w = k at the latest.
+
+    With a ``floor`` only the stack's first largest distance is wanted, and
+    only if it is above the floor.  A code whose lightest row is at most
+    the floor takes no sets.  After each depth, with L the largest distance
+    of the done codes, an open code is dropped when its lightest word is at
+    most the floor, below L, or equal to L after the first done code at L.
+    So the first largest entry is exact when it is above the floor, every
+    entry is an upper bound on its distance that beats neither it nor the
+    floor, and the largest entry is at most the floor otherwise.  A dropped
+    code's lightest word is not its distance, so it never counts as done.
     Binary codes with n <= 63 run on int64 bit masks (XOR, popcount);
     other row sums run in the narrow type of ``_multiples``.
     """
@@ -460,6 +476,8 @@ def bz_min_distance(field: FiniteField, stack, pivots) -> np.ndarray:
             break
         depth = [k - min(k, n - len(used[b])) - 1 for b in live]  # before a set can add
         go = _bz_bound([ranks[b] for b in live], k, depth) < best[live]
+        if floor is not None:
+            go &= best[live] > floor
         groups = {}
         for b in np.array(live)[go].tolist():
             groups.setdefault(used[b], []).append(b)
@@ -491,10 +509,16 @@ def bz_min_distance(field: FiniteField, stack, pivots) -> np.ndarray:
     owner = np.array(owner)
     mults = np.array(mats, dtype=np.int64)[:, None] if packed else _multiples(field, mats)
     bounds = _bz_bound(ranks, k, np.arange(1, k + 1)[:, None])  # (w, code)
+    dropped = np.zeros(codes, dtype=bool)
     for w in range(1, k + 1):
         for words in _row_sums(field, mults, w):
             np.minimum.at(best, owner, weigh(words).min(axis=1))
-        keep = (bounds[w - 1] < best)[owner]
+        done = (bounds[w - 1] >= best) & ~dropped
+        if floor is not None:
+            top = best[done].max(initial=floor)
+            later = np.arange(codes) > np.argmax(done & (best == top)) if top > floor else True
+            dropped |= ~done & ((best < top) | (best == top) & later)
+        keep = ~(done | dropped)[owner]
         if not keep.any():
             break
         if not keep.all():

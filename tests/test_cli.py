@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +162,17 @@ def test_dc_search_m5(capsys):
     assert code == 0
     assert payload["best"]["d"] == 3
     assert payload["lcd_count"] == 11
+    assert payload["oracle_agreement"] is True
+
+
+def test_dc_search_oracle_checks_the_best_a(capsys, monkeypatch):
+    # a screen that passes every candidate lets through <(1, 1 + x + x^2)> at m = 5,
+    # distance 4 but not LCD, and the gcd criterion on the best a says so
+    monkeypatch.setattr(cc, "_dc_screen", lambda base, m, a: np.ones(len(a), dtype=bool))
+    code, payload = run_json(capsys, "dc-search", "--q", "2", "--m", "5", "--exhaustive")
+    assert code == 3
+    assert payload["best"] == {"a": "1,1,1,0,0", "serial": 7, "d": 4}
+    assert payload["oracle_agreement"] is False
 
 
 def test_dc_search_random_deterministic(capsys):

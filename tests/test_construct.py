@@ -28,7 +28,7 @@ from qccd.errors import (
     NotSystematic,
     TooLargeToEnumerate,
 )
-from qccd.field import FieldElement, make_field
+from qccd.field import FieldElement, field_from_order, make_field
 from qccd.lincode import LinearCode, _span_weights_gf2, bz_min_distance, min_weight
 from qccd.polyring import Poly, poly_gcd, xm_minus_one
 
@@ -144,21 +144,41 @@ def test_dc_criterion_matches_hull_oracle_gf2(m):
         assert dc_is_lcd(F2, m, a) == (double_circulant(F2, m, a).expand().hull_dim() == 0)
 
 
+def _screen_against_gcd(field, m, serials):
+    # the unit test of 1 + a a* in F_q[x]/(x^m - 1) on a block's digits
+    # against the gcd criterion; returns the criterion's verdicts
+    q = field.order
+    a = np.array([cc._serial_to_coeffs(s, q, m) for s in serials], dtype=np.int64)
+    expected = [dc_is_lcd(field, m, Poly(field, row)) for row in a.tolist()]
+    assert cc._dc_screen(field, m, a).tolist() == expected, (field, m)
+    return expected
+
+
 @pytest.mark.parametrize("m", [1, 3, 5, 7, 9, 11])
 def test_dc_gram_screen_gf2_every_serial(m):
-    # Massey's Gram-rank test on bit masks against the gcd criterion
-    screen = cc._dc_screen_gf2(range(2**m), m)
-    assert screen.tolist() == [
-        dc_is_lcd(F2, m, Poly(F2, cc._serial_to_coeffs(s, 2, m))) for s in range(2**m)
-    ]
+    _screen_against_gcd(F2, m, range(2**m))
 
 
 @pytest.mark.parametrize("m", range(17, 32, 2))
 def test_dc_gram_screen_gf2_seeded(m):
-    serials = list(cc._random_serials(m, 300, 2**m))
-    screen = cc._dc_screen_gf2(serials, m)
-    expected = [dc_is_lcd(F2, m, Poly(F2, cc._serial_to_coeffs(s, 2, m))) for s in serials]
-    assert screen.tolist() == expected
+    # ord_m(2) reaches 28 (m = 29): splitting fields far above 2^16
+    expected = _screen_against_gcd(F2, m, list(cc._random_serials(m, 300, 2**m)))
+    assert 0 < sum(expected) < len(expected)
+
+
+@pytest.mark.parametrize("q, m_max", [(3, 7), (4, 5), (5, 4), (7, 3), (8, 3), (9, 4), (16, 3)])
+def test_dc_screen_every_serial(q, m_max):
+    field = field_from_order(q)
+    for m in range(1, m_max + 1):
+        if m % field.p:
+            _screen_against_gcd(field, m, range(q**m))
+
+
+@pytest.mark.parametrize("q, m", [(3, 41), (3, 44), (4, 45), (5, 64)])
+def test_dc_screen_seeded(q, m):
+    # splitting fields above 2^16; over GF(3), m = 44, serials pass 2^63
+    serials = list(cc._random_serials(m, 300, q**m))
+    expected = _screen_against_gcd(field_from_order(q), m, serials)
     assert 0 < sum(expected) < len(expected)
 
 
@@ -360,7 +380,7 @@ def test_dc_search_random_gf2_matches_reference_scan(m, trials, seed):
     [(F5, m) for m in (1, 2, 3, 4)] + [(make_field(7, 1), 3)] + [(F9, m) for m in (1, 2)],
 )
 def test_dc_search_odd_fields_match_reference_scan(field, m):
-    # Gram-rank LCD screen and stacked distances against the gcd criterion
+    # unit-test LCD screen and floored stacked distances against the gcd criterion
     # and full enumeration of every serial
     assert dc_search(field, m) == _reference_scan(field, m, range(field.order**m))
 
@@ -405,13 +425,12 @@ def test_dc_search_blocks_and_workers_give_one_report(monkeypatch, block):
 
 
 def test_dc_scan_tests_blocks_not_candidates(monkeypatch):
-    # one Gram-rank screen and one engine call per block, no gcd criterion
+    # one LCD screen and one engine call per block, no gcd criterion
     engine_calls, screens, gcd_calls = [], [], []
-    engine, gram, screen, gcd = cc.bz_min_distance, cc._gram, cc._dc_screen_gf2, cc.dc_is_lcd
+    engine, screen, gcd = cc.bz_min_distance, cc._dc_screen, cc.dc_is_lcd
     monkeypatch.setattr(cc, "bz_min_distance",
-                        lambda *args: engine_calls.append(1) or engine(*args))
-    monkeypatch.setattr(cc, "_gram", lambda *args: screens.append(1) or gram(*args))
-    monkeypatch.setattr(cc, "_dc_screen_gf2", lambda *args: screens.append(1) or screen(*args))
+                        lambda *args, **kw: engine_calls.append(1) or engine(*args, **kw))
+    monkeypatch.setattr(cc, "_dc_screen", lambda *args: screens.append(1) or screen(*args))
     monkeypatch.setattr(cc, "dc_is_lcd", lambda *args: gcd_calls.append(1))
     monkeypatch.setattr(cc, "_DC_BLOCK", 50)
     for field, m in [(F3, 7), (F2, 15)]:
@@ -430,9 +449,9 @@ def test_dc_scan_blocks_shrink_with_the_field(monkeypatch):
     # a block's scalar multiples, (q - 1) m^2 entries a code, stay within _CHUNK
     stacks, engine = [], cc.bz_min_distance
 
-    def recording(field, stack, pivots):
+    def recording(field, stack, pivots, floor=None):
         stacks.append(len(stack))
-        return engine(field, stack, pivots)
+        return engine(field, stack, pivots, floor)
 
     monkeypatch.setattr(cc, "bz_min_distance", recording)
     monkeypatch.setattr(cc, "_CHUNK", 5 * 4 * 3 * 3)  # five candidates of GF(5), m = 3

@@ -668,3 +668,24 @@ def test_closed_under_permutation_and_frobenius():
     assert C.closed_under([1, 0], 2)
     assert not C.closed_under([1, 0])
     assert not C.closed_under([0, 1], 2)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_bz_floor_keeps_the_first_largest_distance(field):
+    # with a floor every entry is an upper bound; the first largest one is
+    # exact when it is above the floor, and the largest is at most the floor
+    # otherwise.  Over GF(4), k = 6, an open code ties the first done code's
+    # distance before it and must stay open.
+    rng = random.Random(15)
+    for k, n in [(4, 8), (5, 10), (6, 12)]:
+        stack = [systematic(field, [[rng.randrange(field.order) if rng.random() < 0.7 else 0
+                                     for _ in range(n - k)] for _ in range(k)]) for _ in range(20)]
+        exact = lc.bz_min_distance(field, stack, range(k))
+        assert exact.tolist() == [min_weight(field, rows, n) for rows in stack]
+        for floor in range(-1, int(exact.max()) + 2):
+            got = lc.bz_min_distance(field, stack, range(k), floor)
+            assert (got >= exact).all(), (k, floor)
+            if exact.max() > floor:
+                assert got.argmax() == exact.argmax() and got.max() == exact.max(), (k, floor)
+            else:
+                assert got.max() <= floor, (k, floor)
