@@ -8,6 +8,7 @@ from .cyclic import (
     CyclicCode,
     divisors_of_xell_minus_one,
     is_conjugate_reversible,
+    is_lcd_by_factors,
     is_lcd_cyclic,
     is_reversible,
     make_cyclic,
@@ -51,6 +52,7 @@ __all__ = [
     "CyclicCode",
     "divisors_of_xell_minus_one",
     "is_conjugate_reversible",
+    "is_lcd_by_factors",
     "is_lcd_cyclic",
     "is_reversible",
     "make_cyclic",

@@ -4,6 +4,11 @@ Every subcommand prints a JSON certificate on standard output (the dc
 table also has a plain-text rendering via --format table).  Exit codes:
 0 when a verdict was computed and all cross-checks agreed, 2 for input
 errors, 3 when a criterion and its independent oracle disagree.
+
+Each ``cmd_*`` returns its payload and an oracle (None for ``factor`` and
+``table-repro``) that adds its keys and says whether the cross-checks agree;
+``main`` runs it unless given --no-oracle.  Construction invariants raise
+AssertionError in the library and always run (exit 3, OracleDisagreement).
 """
 from __future__ import annotations
 
@@ -49,7 +54,7 @@ def _try_distance(C: LinearCode):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_factor(args) -> int:
+def cmd_factor(args):
     base = field_from_order(args.q)
     profile = factor_xm_minus_1(base, args.m)
     payload = {
@@ -72,16 +77,17 @@ def cmd_factor(args) -> int:
             for h, hstar, v in profile.pairs
         ],
     }
-    _emit(payload)
-    return 0
+    return payload, None
 
 
-def cmd_cyclic_check(args) -> int:
+def cmd_cyclic_check(args):
     base = field_from_order(args.q)
     g = io.parse_poly(base, args.g)
     C = cyclic.make_cyclic(base, args.ell, g)
     lin = C.as_linear_code()
+    hermitian = args.form == "hermitian"
     verdict = cyclic.is_lcd_cyclic(C, args.form)
+    reversible = cyclic.is_conjugate_reversible(C) if hermitian else cyclic.is_reversible(C)
     payload = {
         "command": "cyclic-check",
         "q": args.q,
@@ -90,21 +96,22 @@ def cmd_cyclic_check(args) -> int:
         "form": args.form,
         "params": {"n": lin.n, "k": lin.k, "d": _try_distance(lin) if lin.k else None},
         "verdict": verdict,
-        "reversible": cyclic.is_reversible(C)
-        if args.form == "euclidean"
-        else cyclic.is_conjugate_reversible(C),
+        "reversible": reversible,
     }
-    agreement = True
-    if not args.no_oracle:
-        hull = lin.hull_dim(args.form)
-        payload["hull_dim"] = hull
-        agreement = (hull == 0) == verdict
-    payload["oracle_agreement"] = agreement
-    _emit(payload)
-    return 0 if agreement else 3
+
+    def oracle(payload):
+        payload["hull_dim"] = hull = lin.hull_dim(args.form)
+        reversal = range(C.ell - 1, -1, -1)
+        return (
+            (hull == 0) == verdict
+            and cyclic.is_lcd_by_factors(C, args.form) == verdict
+            and lin.closed_under(reversal, base.conj_exp if hermitian else 1) == reversible
+        )
+
+    return payload, oracle
 
 
-def cmd_qc_check(args) -> int:
+def cmd_qc_check(args):
     with open(args.infile) as fh:
         C = io.parse_qc(fh.read())
     verdict, cert = qc.is_qccd(C)
@@ -120,16 +127,12 @@ def cmd_qc_check(args) -> int:
     }
     if len(C.gens) == 1 and C.ell == 2 and C.gens[0][0].coeffs == (1,):
         payload["dc_criterion"] = construct.dc_is_lcd(C.base, C.m, C.gens[0][1])
-    agreement = True
-    if not args.no_oracle:
-        hull = lin.hull_dim("euclidean")
-        payload["hull_dim"] = hull
-        agreement = (hull == 0) == verdict
-        if "dc_criterion" in payload:
-            agreement = agreement and payload["dc_criterion"] == verdict
-    payload["oracle_agreement"] = agreement
-    _emit(payload)
-    return 0 if agreement else 3
+
+    def oracle(payload):
+        payload["hull_dim"] = hull = lin.hull_dim("euclidean")
+        return (hull == 0) == verdict and payload.get("dc_criterion", verdict) == verdict
+
+    return payload, oracle
 
 
 def _slot_summaries(cs: qc.ConstituentSet):
@@ -146,7 +149,7 @@ def _slot_summaries(cs: qc.ConstituentSet):
     return self_slots, pair_slots
 
 
-def cmd_qc_constituents(args) -> int:
+def cmd_qc_constituents(args):
     with open(args.infile) as fh:
         C = io.parse_qc(fh.read())
     cs = qc.constituents(C)
@@ -160,20 +163,17 @@ def cmd_qc_constituents(args) -> int:
         "pair_slots": pair_slots,
         "fq_dimension": cs.fq_dimension(),
     }
-    agreement = True
-    if not args.no_oracle:
+
+    def oracle(payload):
         lin = C.expand()
         payload["expanded_dimension"] = lin.k
-        agreement = lin.k == cs.fq_dimension()
-        roundtrip = qc.from_constituents(cs).expand() == lin
-        payload["roundtrip"] = roundtrip
-        agreement = agreement and roundtrip
-    payload["oracle_agreement"] = agreement
-    _emit(payload)
-    return 0 if agreement else 3
+        payload["roundtrip"] = qc.from_constituents(cs).expand() == lin
+        return lin.k == cs.fq_dimension() and payload["roundtrip"]
+
+    return payload, oracle
 
 
-def cmd_qc_jensen(args) -> int:
+def cmd_qc_jensen(args):
     with open(args.infile) as fh:
         C = io.parse_qc(fh.read())
     bound = qc.jensen_bound(C)
@@ -184,19 +184,16 @@ def cmd_qc_jensen(args) -> int:
         "ell": C.ell,
         "bound": bound,
     }
-    agreement = True
-    if not args.no_oracle:
+
+    def oracle(payload):
         lin = C.expand()
-        d = _try_distance(lin) if lin.k else 0
-        payload["min_distance"] = d
-        if d is not None:
-            agreement = bound <= d
-    payload["oracle_agreement"] = agreement
-    _emit(payload)
-    return 0 if agreement else 3
+        payload["min_distance"] = d = _try_distance(lin) if lin.k else 0
+        return d is None or bound <= d
+
+    return payload, oracle
 
 
-def cmd_dc_search(args) -> int:
+def cmd_dc_search(args):
     base = field_from_order(args.q)
     if args.seed is not None and not args.exhaustive:
         report = construct.dc_search(
@@ -220,13 +217,10 @@ def cmd_dc_search(args) -> int:
     }
     if report.seed is not None:
         payload["seed"] = report.seed
-    agreement = construct.dc_is_lcd(base, report.m, Poly(base, report.best_a))
-    payload["oracle_agreement"] = agreement
-    _emit(payload)
-    return 0 if agreement else 3
+    return payload, lambda _: construct.dc_is_lcd(base, report.m, Poly(base, report.best_a))
 
 
-def cmd_extend_hermitian(args) -> int:
+def cmd_extend_hermitian(args):
     with open(args.infile) as fh:
         C = io.parse_code(fh.read())
     sysrows, perm = C.systematic_form()
@@ -241,22 +235,17 @@ def cmd_extend_hermitian(args) -> int:
         "code": io.format_code(out),
         "verdict": True,
     }
-    agreement = True
-    if not args.no_oracle:
-        gram = out.gram("hermitian")
-        gram_identity = all(
-            gram[i][j] == (1 if i == j else 0) for i in range(out.k) for j in range(out.k)
-        )
-        hull = out.hull_dim("hermitian")
-        payload["gram_identity"] = gram_identity
-        payload["hull_dim"] = hull
-        agreement = gram_identity and hull == 0
-    payload["oracle_agreement"] = agreement
-    _emit(payload)
-    return 0 if agreement else 3
+
+    def oracle(payload):
+        identity = [[int(i == j) for j in range(out.k)] for i in range(out.k)]
+        payload["gram_identity"] = out.gram("hermitian") == identity
+        payload["hull_dim"] = out.hull_dim("hermitian")
+        return payload["gram_identity"] and payload["hull_dim"] == 0
+
+    return payload, oracle
 
 
-def cmd_descend(args) -> int:
+def cmd_descend(args):
     with open(args.infile) as fh:
         C = io.parse_code(fh.read())
     Q = C.field.order
@@ -280,20 +269,17 @@ def cmd_descend(args) -> int:
         "params": {"n": out.n, "k": out.k, "d": _try_distance(out) if out.k else None},
         "code": io.format_code(out),
     }
-    agreement = True
-    if not args.no_oracle:
-        hull_in = C.hull_dim("euclidean")
-        hull_out = out.hull_dim("euclidean")
-        payload["hull_dim_input"] = hull_in
-        payload["hull_dim"] = hull_out
-        payload["verdict"] = hull_out == 0
-        agreement = (hull_in == 0) == (hull_out == 0)
-    payload["oracle_agreement"] = agreement
-    _emit(payload)
-    return 0 if agreement else 3
+
+    def oracle(payload):
+        payload["hull_dim_input"] = C.hull_dim("euclidean")
+        payload["hull_dim"] = out.hull_dim("euclidean")
+        payload["verdict"] = payload["hull_dim"] == 0
+        return (payload["hull_dim_input"] == 0) == payload["verdict"]
+
+    return payload, oracle
 
 
-def cmd_table_repro(args) -> int:
+def cmd_table_repro(args):
     if args.m_max < 3:
         raise InvalidParameter(f"--m-max must be at least 3, got {args.m_max}")
     base = field_from_order(2)
@@ -317,8 +303,7 @@ def cmd_table_repro(args) -> int:
         "rows": rows,
         "all_match": all(r["match"] for r in rows),
     }
-    _emit(payload, fmt=args.format)
-    return 0
+    return payload, None
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +382,11 @@ def main(argv=None) -> int:
         return 2 if e.code else 0
     try:
         _check_ranges(args)
-        return args.func(args)
+        payload, oracle = args.func(args)
+        if oracle is not None:
+            payload["oracle_agreement"] = getattr(args, "no_oracle", False) or oracle(payload)
+        _emit(payload, getattr(args, "format", "json"))
+        return 0 if payload.get("oracle_agreement", True) else 3
     except (QccdError, OSError, ValueError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}))
         return 2

@@ -19,7 +19,6 @@ from .errors import (
     EvenCharacteristic,
     NoSelfDualBasisExists,
     NotCoprime,
-    NotSquareOrderField,
     NotSystematic,
     SearchExhausted,
     TooLargeToEnumerate,
@@ -43,9 +42,7 @@ def find_a(field: FiniteField) -> FieldElement:
     field order is s^2 with s odd."""
     if field.p == 2:
         raise EvenCharacteristic("a^(s+1) = -1 is only needed in odd characteristic")
-    if field.k % 2:
-        raise NotSquareOrderField(f"{field} has no square order")
-    s = field.p ** (field.k // 2)
+    s = field.conj_exp
     minus_one = field.neg_raw(1)
     for a in range(field.order):
         if field.pow_raw(a, s + 1) == minus_one:
@@ -57,8 +54,7 @@ def hermitian_lcd_extend(Ct: LinearCode) -> LinearCode:
     """From a systematic [l, k] code build a Hermitian LCD [2l-k, k] code
     whose Gram matrix is exactly the identity."""
     F = Ct.field
-    if F.k % 2:
-        raise NotSquareOrderField(f"{F} has no square order")
+    F.conj_exp  # raises NotSquareOrderField: the Hermitian form needs sqrt(Q)
     k, ell = Ct.k, Ct.n
     for i, row in enumerate(Ct.rows):
         if any(row[j] != (1 if j == i else 0) for j in range(k)):

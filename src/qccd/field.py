@@ -291,6 +291,14 @@ class FiniteField:
     def frobenius_raw(self, a: int, j: int) -> int:
         return self.pow_raw(a, self.p**j)
 
+    @property
+    def conj_exp(self) -> int:
+        """sqrt(Q) = p^(k/2), the exponent of the Hermitian conjugation
+        x -> x^sqrt(Q); only square-order fields have one."""
+        if self.k % 2:
+            raise NotSquareOrderField(f"{self} has no square order")
+        return self._pk_pows[self.k // 2]
+
     def primitive_element_raw(self) -> int:
         """First element in canonical enumeration order that generates the
         multiplicative group."""
@@ -449,9 +457,7 @@ class FieldElement:
 
     def conjugate(self) -> "FieldElement":
         """x -> x^sqrt(Q); requires a square-order field."""
-        if self.field.k % 2:
-            raise NotSquareOrderField(f"{self.field} has no square order")
-        return self.frobenius(self.field.k // 2)
+        return self ** self.field.conj_exp
 
     def multiplicative_order(self) -> int:
         return self.field.multiplicative_order_raw(self.raw)

@@ -35,7 +35,6 @@ import numpy as np
 from .errors import (
     FieldMismatch,
     LengthMismatch,
-    NotSquareOrderField,
     TooLargeToEnumerate,
 )
 from .field import FiniteField
@@ -165,22 +164,14 @@ class LinearCode:
         return self.dual().sum_code(other.dual()).dual()
 
     # -- conjugation and Gram forms ----------------------------------------
-    def _conj_exp(self, conj_exp: int | None) -> int:
-        if conj_exp is not None:
-            return conj_exp
-        F = self.field
-        if F.k % 2:
-            raise NotSquareOrderField(f"{F} has no square order")
-        return F.p ** (F.k // 2)
-
     def conjugate_code(self, conj_exp: int | None = None) -> "LinearCode":
-        e = self._conj_exp(conj_exp)
         F = self.field
+        e = conj_exp or F.conj_exp
         rows = [[F.pow_raw(x, e) for x in r] for r in self.rows]
         return LinearCode.from_rows(F, self.n, rows)
 
     def gram(self, form: str = "euclidean", conj_exp: int | None = None) -> list[list[int]]:
-        e = 1 if form == "euclidean" else self._conj_exp(conj_exp)
+        e = 1 if form == "euclidean" else conj_exp or self.field.conj_exp
         rows = np.array(self.rows, dtype=np.int64).reshape(1, self.k, self.n)
         return _gram(self.field, rows, e)[0].tolist()
 
@@ -192,15 +183,6 @@ class LinearCode:
         gram = self.gram(form, conj_exp)
         _, pivots = rref(self.field, gram)
         return self.k - len(pivots)
-
-    def is_lcd(self, form: str = "euclidean", conj_exp: int | None = None) -> bool:
-        verdict = self.hull_dim(form, conj_exp) == 0
-        if form == "hermitian" and self.k > 0:
-            # independent cross-check through the conjugate-dual intersection
-            other = self.intersect(self.conjugate_code(self._conj_exp(conj_exp)).dual())
-            if (other.k == 0) != verdict:
-                raise AssertionError("Hermitian LCD cross-check disagreement")
-        return verdict
 
     # -- systematic form ----------------------------------------------------
     def systematic_form(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

@@ -15,7 +15,6 @@ from .errors import (
     FieldMismatch,
     NotASubfield,
     NotCoprime,
-    NotSquareOrderField,
     ZeroConstantTerm,
 )
 from .field import FieldElement, FiniteField, root_of_unity
@@ -153,9 +152,7 @@ class Poly:
     def conjugate(self) -> "Poly":
         """Coefficientwise x -> x^sqrt(Q); requires a square-order field."""
         F = self.field
-        if F.k % 2:
-            raise NotSquareOrderField(f"{F} has no square order")
-        e = F.p ** (F.k // 2)
+        e = F.conj_exp
         return Poly(F, [F.pow_raw(c, e) for c in self.coeffs])
 
     def conj_reciprocal(self) -> "Poly":

@@ -20,6 +20,7 @@ from qccd.construct import (
 from qccd.cyclic import (
     divisors_of_xell_minus_one,
     is_conjugate_reversible,
+    is_lcd_by_factors,
     is_lcd_cyclic,
     is_reversible,
     make_cyclic,
@@ -208,18 +209,24 @@ def test_criterion_08_cyclic_sweeps(capsys):
     for ell in (3, 5, 15):
         for g in divisors_of_xell_minus_one(F4, ell):
             C = make_cyclic(F4, ell, g)
+            lin = C.as_linear_code()
             crit = is_lcd_cyclic(C, "hermitian")
             rev = is_conjugate_reversible(C)
-            hull = C.as_linear_code().hull_dim("hermitian") == 0
-            mismatches += not (crit == rev == hull)
+            hull = lin.hull_dim("hermitian") == 0
+            factors = is_lcd_by_factors(C, "hermitian")
+            closed = lin.closed_under(range(ell - 1, -1, -1), F4.conj_exp)
+            mismatches += not (crit == rev == hull == factors == closed)
             checked += 1
     for field, ell in ((F2, 7), (F2, 15), (F4, 7), (F4, 15)):
         for g in divisors_of_xell_minus_one(field, ell):
             C = make_cyclic(field, ell, g)
+            lin = C.as_linear_code()
             crit = is_lcd_cyclic(C, "euclidean")
             rev = is_reversible(C)
-            hull = C.as_linear_code().hull_dim("euclidean") == 0
-            mismatches += not (crit == rev == hull)
+            hull = lin.hull_dim("euclidean") == 0
+            factors = is_lcd_by_factors(C, "euclidean")
+            closed = lin.closed_under(range(ell - 1, -1, -1))
+            mismatches += not (crit == rev == hull == factors == closed)
             checked += 1
     ok = mismatches == 0
     with capsys.disabled():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qccd.construct as cc
+import qccd.cyclic as cy
 import qccd.lincode as lc
 import qccd.qc as qcmod
 from qccd.cli import main
@@ -68,13 +69,20 @@ def test_cyclic_check_hermitian(capsys):
     assert payload["verdict"] == (payload["hull_dim"] == 0)
 
 
-def test_cyclic_check_no_oracle(capsys):
+def test_cyclic_check_no_oracle(capsys, monkeypatch):
+    def oracle_ran(*args):
+        raise AssertionError("a cross-check ran under --no-oracle")
+
+    for owner, name in [(cy, "is_lcd_by_factors"), (lc.LinearCode, "closed_under"),
+                        (lc.LinearCode, "hull_dim")]:
+        monkeypatch.setattr(owner, name, oracle_ran)
     code, payload = run_json(
         capsys, "cyclic-check", "--q", "2", "--ell", "7", "--g", "1,1,0,1",
         "--no-oracle",
     )
     assert code == 0
     assert "hull_dim" not in payload
+    assert payload["verdict"] is False and payload["reversible"] is False
 
 
 def test_cyclic_check_input_error(capsys):
@@ -241,6 +249,83 @@ def test_descend_subfield_must_be_a_field_order(tmp_path, capsys, q):
     code, payload = run_json(capsys, "descend", "--in", str(f), "--q", q)
     assert code == 2
     assert payload["error"] == "NonPrimeCharacteristic"
+
+
+# -- one oracle path -----------------------------------------------------------
+
+# label -> (argv with "{in}" for the input file, file text, keys only the oracle writes)
+ORACLE_REQUESTS = {
+    "cyclic-euclidean": (("cyclic-check", "--q", "4", "--ell", "15", "--g", "1,2,2,2,1"),
+                         None, {"hull_dim"}),
+    # x + w over GF(4) at ell = 3 is closed under conjugated reversal, not plain reversal
+    "cyclic-hermitian": (("cyclic-check", "--q", "4", "--ell", "3", "--g", "2,1",
+                          "--form", "hermitian"), None, {"hull_dim"}),
+    "qc-check": (("qc-check", "--in", "{in}"), DATA_DC_M5, {"hull_dim"}),
+    "qc-constituents": (("qc-constituents", "--in", "{in}"), DATA_DC_M5,
+                        {"expanded_dimension", "roundtrip"}),
+    "qc-jensen": (("qc-jensen", "--in", "{in}"), DATA_DC_M5, {"min_distance"}),
+    "extend-hermitian": (("extend-hermitian", "--in", "{in}"), "4 4 2\n1 0 1 2\n0 1 3 1\n",
+                         {"gram_identity", "hull_dim"}),
+    "descend": (("descend", "--in", "{in}", "--q", "2"), "4 3 1\n1 0 2\n",
+                {"hull_dim_input", "hull_dim", "verdict"}),
+}
+
+
+def _oracle_request(tmp_path, label, *extra):
+    argv, text, _ = ORACLE_REQUESTS[label]
+    if text is not None:
+        f = tmp_path / "input.txt"
+        f.write_text(text)
+        argv = tuple(str(f) if a == "{in}" else a for a in argv)
+    return (*argv, *extra)
+
+
+@pytest.mark.parametrize("label", list(ORACLE_REQUESTS))
+def test_no_oracle_drops_only_the_oracle_keys(tmp_path, capsys, label):
+    code, full = run_json(capsys, *_oracle_request(tmp_path, label))
+    bare_code, bare = run_json(capsys, *_oracle_request(tmp_path, label, "--no-oracle"))
+    assert code == bare_code == 0
+    assert full.pop("oracle_agreement") is bare.pop("oracle_agreement") is True
+    full.pop("time"), bare.pop("time")
+    oracle_keys = ORACLE_REQUESTS[label][2]
+    assert oracle_keys <= set(full)
+    assert {k: v for k, v in full.items() if k not in oracle_keys} == bare
+
+
+def _flip(f):
+    return lambda *args: not f(*args)
+
+
+# (request label, owner, attribute, the lie made from the true function)
+LIES = [
+    ("cyclic-euclidean", cy, "is_lcd_cyclic", _flip),
+    ("cyclic-euclidean", cy, "is_reversible", _flip),
+    ("cyclic-euclidean", cy, "is_lcd_by_factors", _flip),
+    ("cyclic-hermitian", cy, "is_lcd_cyclic", _flip),
+    ("cyclic-hermitian", cy, "is_conjugate_reversible", _flip),
+    ("qc-check", qcmod, "is_qccd", lambda f: lambda C: (not f(C)[0], f(C)[1])),
+    ("qc-check", cc, "dc_is_lcd", _flip),
+    ("qc-constituents", qcmod.ConstituentSet, "fq_dimension", lambda f: lambda cs: f(cs) + 1),
+    ("qc-constituents", qcmod, "from_constituents",
+     lambda f: lambda cs: qcmod.QcCode.make(cs.profile.base, cs.profile.m, cs.ell, [])),
+    ("qc-jensen", qcmod, "jensen_bound", lambda f: lambda C: C.expand().min_distance() + 1),
+    ("extend-hermitian", cc, "hermitian_lcd_extend",
+     lambda f: lambda Ct: lc.LinearCode.from_rows(Ct.field, 2, [[1, 1]])),  # self-orthogonal
+    ("descend", cc, "expand_subfield",
+     lambda f: lambda C, B: lc.LinearCode.from_rows(B.sub, 6, [[1, 1, 0, 0, 0, 0]])),
+]
+
+
+@pytest.mark.parametrize("label,owner,name,lie", LIES,
+                         ids=[f"{label}-{name}" for label, _, name, _ in LIES])
+def test_a_lying_criterion_exits_3_with_its_certificate(tmp_path, capsys, monkeypatch,
+                                                       label, owner, name, lie):
+    monkeypatch.setattr(owner, name, lie(getattr(owner, name)))
+    code, payload = run_json(capsys, *_oracle_request(tmp_path, label))
+    assert code == 3
+    assert payload["command"] == ORACLE_REQUESTS[label][0][0]
+    assert payload["oracle_agreement"] is False
+    assert ORACLE_REQUESTS[label][2] <= set(payload)
 
 
 def test_table_repro_json(capsys):

@@ -71,7 +71,7 @@ def test_extension_with_empty_p():
     Ct = LinearCode.from_rows(F4, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     out = hermitian_lcd_extend(Ct)
     assert out.params() == (3, 3)
-    assert out.is_lcd("hermitian")
+    assert out.hull_dim("hermitian") == 0
 
 
 def test_extension_rejects_nonsystematic():
@@ -104,6 +104,10 @@ def test_find_a_gf25():
 def test_find_a_rejects_even_characteristic():
     with pytest.raises(EvenCharacteristic):
         find_a(F4)
+    with pytest.raises(EvenCharacteristic):  # checked before the square order
+        find_a(make_field(2, 3))
+    with pytest.raises(NotSquareOrderField):
+        find_a(make_field(3, 3))
 
 
 def test_find_a_conjugate_product():

@@ -4,6 +4,7 @@ from qccd.cyclic import (
     divisors_of_xell_minus_one,
     irreducible_factors,
     is_conjugate_reversible,
+    is_lcd_by_factors,
     is_lcd_cyclic,
     is_reversible,
     make_cyclic,
@@ -15,6 +16,20 @@ from qccd.polyring import Poly, xm_minus_one
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
+
+
+def _agrees_with_oracles(C, form):
+    """The gcd verdict equals the factor criterion, and the polynomial
+    reversibility verdict equals the code's closure under (conjugated)
+    coordinate reversal."""
+    lin = C.as_linear_code()
+    reversal = range(C.ell - 1, -1, -1)
+    if form == "euclidean":
+        closed, reversible = lin.closed_under(reversal), is_reversible(C)
+    else:
+        closed = lin.closed_under(reversal, C.field.conj_exp)
+        reversible = is_conjugate_reversible(C)
+    return is_lcd_cyclic(C, form) == is_lcd_by_factors(C, form) and reversible == closed
 
 
 def test_make_cyclic_rejects_nondivisor():
@@ -74,6 +89,7 @@ def test_euclidean_lcd_iff_reversible_iff_hull_zero(field, ell):
         C = make_cyclic(field, ell, g)
         verdict = is_lcd_cyclic(C, "euclidean")
         assert verdict == (C.as_linear_code().hull_dim("euclidean") == 0)
+        assert _agrees_with_oracles(C, "euclidean")
         if verdict:
             assert is_reversible(C)
 
@@ -92,6 +108,7 @@ def test_repeated_root_euclidean_sweep(ell):
     for g in divisors_of_xell_minus_one(F2, ell):
         C = make_cyclic(F2, ell, g)
         assert is_lcd_cyclic(C) == (C.as_linear_code().hull_dim() == 0)
+        assert _agrees_with_oracles(C, "euclidean")
 
 
 @pytest.mark.parametrize("ell", [3, 5, 15, 2, 6])
@@ -100,6 +117,7 @@ def test_hermitian_lcd_iff_conj_reversible_iff_hull_zero(ell):
         C = make_cyclic(F4, ell, g)
         verdict = is_lcd_cyclic(C, "hermitian")
         assert verdict == (C.as_linear_code().hull_dim("hermitian") == 0)
+        assert _agrees_with_oracles(C, "hermitian")
         if verdict:
             assert is_conjugate_reversible(C)
 

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qccd.errors import DivisionByZero, FieldTooLarge, NonPrimeCharacteristic, NotASubfield
+from qccd.errors import (
+    DivisionByZero,
+    FieldTooLarge,
+    NonPrimeCharacteristic,
+    NotASubfield,
+    NotSquareOrderField,
+)
 from qccd.field import (
     FieldElement,
     field_from_order,
@@ -113,6 +119,9 @@ def test_element_operators():
     assert (w + w).raw == 0
     assert (w**3).raw == 1
     assert w.conjugate().raw == 3  # squaring in GF(4)
+    assert [F.conj_exp for F in (F4, F9, F16)] == [2, 3, 4]
+    with pytest.raises(NotSquareOrderField, match=r"^GF\(2\^3\) has no square order$"):
+        FieldElement(F8, 2).conjugate()
     assert w == FieldElement(F4, 2)
     assert w != FieldElement(F4, 3)
     assert (w / w).raw == 1
