@@ -13,9 +13,12 @@ skipped over GF(2) and GF(4)).  Each QC shape is a list of QC_CODES seeded
 systematic codes of ``bench``'s certify shapes (ell = 3, r generators,
 dimension r*m), plus GF(2) at m = 21: ``QcCode.expand`` on each, and
 ``qc.from_constituents`` on each one's constituents, which are taken
-outside the timed call; the caches are warm after the first run.  Prints
-one JSON line: the median wall time in microseconds of --runs calls per
-kernel and shape, with nproc and the Python and numpy versions.
+outside the timed call; the caches are warm after the first run.  The
+``import`` entry times ``import qccd, qccd.cli`` in --runs fresh
+interpreters that have imported numpy first, as the benchmark's set-up
+does.  Prints one JSON line: the median wall time in microseconds of
+--runs calls per kernel and shape, with nproc and the Python and numpy
+versions.
 """
 import argparse
 import json
@@ -23,11 +26,13 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
 
 import numpy as np
 
+import qccd
 from qccd import QcCode, constituents, from_constituents, make_field
 from qccd.construct import _dc_screen
 from qccd.lincode import _reduce_gf2_stack, _reduce_stack, rref
@@ -57,6 +62,20 @@ def systematic_qc(rng: random.Random, field, m: int, ell: int, r: int) -> QcCode
     return QcCode.make(field, m, ell, gens)
 
 
+COLD_IMPORT = ("import time, numpy; t = time.perf_counter(); import qccd, qccd.cli; "
+               "print(time.perf_counter() - t)")
+
+
+def cold_import_us(runs: int) -> float:
+    """Median wall time in microseconds of importing qccd in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qccd.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    times = [float(subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, check=True,
+                                  capture_output=True, text=True, timeout=120).stdout)
+             for _ in range(runs)]
+    return round(1e6 * statistics.median(times), 1)
+
+
 def median_us(call, runs: int) -> float:
     times = []
     for _ in range(runs):
@@ -73,7 +92,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
-    times = {}
+    times = {"import": cold_import_us(args.runs)}
     for q, (p, k) in FIELDS.items():
         field = make_field(p, k)
         for m in MS:

@@ -217,7 +217,13 @@ def cmd_dc_search(args):
     }
     if report.seed is not None:
         payload["seed"] = report.seed
-    return payload, lambda _: construct.dc_is_lcd(base, report.m, Poly(base, report.best_a))
+
+    def oracle(_):  # random mode counts trials: only an exhaustive count has a closed form
+        return construct.dc_is_lcd(base, report.m, Poly(base, report.best_a)) and (
+            report.mode == "random"
+            or report.lcd_count == construct.dc_lcd_count(report.q, report.m))
+
+    return payload, oracle
 
 
 def cmd_extend_hermitian(args):
@@ -364,6 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table_repro)
 
     return parser
+
+
+# Built at import, as per-process set-up: every command parses its argv with it,
+# and its first build (argparse's gettext lookups load ``locale``) would
+# otherwise fall into the first command.
+build_parser()
 
 
 def _check_ranges(args) -> None:

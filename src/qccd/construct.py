@@ -7,7 +7,6 @@ import hashlib
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +24,7 @@ from .errors import (
 )
 from .field import FieldElement, FiniteField, field_from_order, make_field
 from .lincode import _CHUNK, ENUM_CAP, LinearCode, _gram, _vadd, bz_min_distance
-from .polyring import Poly, poly_gcd, xm_minus_one
+from .polyring import Poly, cyclotomic_cosets, poly_gcd, xm_minus_one
 from .qc import QcCode
 
 SEARCH_CAP = 1 << 20
@@ -89,6 +88,30 @@ def dc_is_lcd(base: FiniteField, m: int, a: Poly) -> bool:
     if f.is_zero():
         return False
     return poly_gcd(f, xm_minus_one(base, m)).degree == 0
+
+
+def dc_lcd_count(q: int, m: int) -> int:
+    """Number of a in R = F_q[x]/(x^m - 1) with <(1, a)> LCD, gcd(m, q) = 1,
+    kept as the oracle of exhaustive ``dc_search``'s ``lcd_count``.  R is a
+    product of fields, one per q-cyclotomic coset C of Z_m, and a -> a*
+    swaps the components of C and -C; <(1, a)> is LCD iff 1 + a a* is
+    nonzero in every one (Massey).  So the count is a product: for C = -C of
+    size 1, GF(q) with y* = y and 1 + y^2 != 0; for C = -C of size d > 1,
+    GF(Q^2), Q = q^(d/2), y* = y^Q, where the norm y^(Q+1) is -1 at Q + 1
+    points; for a pair {C, -C} of size d, GF(Q)^2, Q = q^d, (y, z)* =
+    (z, y), where 1 + y z = 0 at Q - 1 points."""
+    count = 1
+    for coset in cyclotomic_cosets(q, m):
+        d, neg = len(coset), sorted(-i % m for i in coset)
+        if neg == coset and d == 1:  # -1 is a square in GF(q) iff q is 1 mod 4
+            count *= q - 1 if q % 2 == 0 else q - 2 if q % 4 == 1 else q
+        elif neg == coset:
+            Q = q ** (d // 2)
+            count *= Q * Q - Q - 1
+        elif coset[0] < neg[0]:  # each pair once
+            Q = q**d
+            count *= Q * Q - Q + 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -254,7 +277,8 @@ def dc_search(
 
     Candidates are tested in blocks (``_dc_scan``) by one unit test of
     1 + a a* in F_q[x]/(x^m - 1) (``_dc_screen``), with ``dc_is_lcd``, the
-    gcd criterion, as the oracle.
+    gcd criterion, as the oracle of each verdict and ``dc_lcd_count`` as
+    the oracle of the exhaustive count.
     The distances come from ``lincode.bz_min_distance``, the engine behind
     ``LinearCode.min_distance``, given the G1s with pivots 0..m-1, so G1 is
     never reduced; further information sets lie in the right half.  The
@@ -263,7 +287,8 @@ def dc_search(
     than ``SEARCH_CAP`` candidates or trials are refused.
     ``workers`` splits the candidates into contiguous chunks, so the report
     is identical for any worker count; it is clamped to the CPUs and the
-    candidates.
+    candidates.  The process pool is imported only when one starts, so a
+    one-worker search never loads ``multiprocessing``.
     """
     if math.gcd(m, base.p) != 1:
         raise NotCoprime(f"characteristic {base.p} divides m={m}")
@@ -289,6 +314,8 @@ def dc_search(
 
     workers = _clamp_workers(workers, len(serials))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         size = -(-len(serials) // workers)
         starts = range(0, len(serials), size)
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -171,13 +171,20 @@ class LinearCode:
         return LinearCode.from_rows(F, self.n, rows)
 
     def gram(self, form: str = "euclidean", conj_exp: int | None = None) -> list[list[int]]:
-        e = 1 if form == "euclidean" else conj_exp or self.field.conj_exp
+        if form == "euclidean":
+            e = 1
+        elif form == "hermitian":
+            e = conj_exp or self.field.conj_exp
+        else:
+            raise ValueError(f"unknown form {form!r}")
         rows = np.array(self.rows, dtype=np.int64).reshape(1, self.k, self.n)
         return _gram(self.field, rows, e)[0].tolist()
 
     def hull_dim(self, form: str = "euclidean", conj_exp: int | None = None) -> int:
         """dim(C ∩ C^dual) for the Euclidean or Hermitian form, as the rank
         defect of the Gram matrix."""
+        if form not in ("euclidean", "hermitian"):
+            raise ValueError(f"unknown form {form!r}")
         if self.k == 0:
             return 0
         gram = self.gram(form, conj_exp)

@@ -183,6 +183,26 @@ def test_dc_search_oracle_checks_the_best_a(capsys, monkeypatch):
     assert payload["oracle_agreement"] is False
 
 
+def test_dc_search_oracle_checks_the_count(capsys, monkeypatch):
+    # a screen that drops the first LCD candidate, a = 0 (orbit size 1), keeps
+    # the best a LCD, and only the closed-form count sees the loss
+    screen, dropped = cc._dc_screen, []
+
+    def drop_one(base, m, a):
+        lcd = screen(base, m, a)
+        if not dropped and lcd.any():
+            dropped.append(int(lcd.argmax()))
+            lcd[dropped[0]] = False
+        return lcd
+
+    monkeypatch.setattr(cc, "_dc_screen", drop_one)
+    code, payload = run_json(capsys, "dc-search", "--q", "2", "--m", "5", "--exhaustive")
+    assert dropped == [0]
+    assert code == 3
+    assert payload["best"]["d"] == 3 and payload["lcd_count"] == 10
+    assert payload["oracle_agreement"] is False
+
+
 def test_dc_search_random_deterministic(capsys):
     args = ("dc-search", "--q", "2", "--m", "11", "--seed", "5", "--trials", "30")
     _, p1 = run_json(capsys, *args)
@@ -352,14 +372,26 @@ def test_missing_required_flag(capsys):
     assert main(["factor", "--q", "2"]) == 2
 
 
-def _fresh_process(*argv):
+def _fresh_python(*argv):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qccd.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _fresh_process(*argv):
+    proc = _fresh_python("-m", "qccd.cli", *argv)
     return proc.returncode, json.loads(proc.stdout)
+
+
+def test_import_loads_no_process_pool():
+    # only dc_search with workers > 1 starts a pool, so a cold start skips its modules
+    proc = _fresh_python("-c", "import sys, numpy, qccd, qccd.cli; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "qccd.construct" in loaded
+    assert not {"concurrent.futures.process", "multiprocessing"} & loaded
 
 
 def test_parser_reused_across_subcommands(capsys):

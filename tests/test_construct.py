@@ -195,6 +195,26 @@ def test_dc_criterion_matches_hull_oracle_gf3(m):
         )
 
 
+def _coprime_shapes(space):
+    # (q, m) with gcd(m, q) = 1 and q^m <= space, m = 1 included
+    return [(q, m) for q, p in [(2, 2), (3, 3), (4, 2), (5, 5), (7, 7), (8, 2), (9, 3)]
+            for m in range(1, space.bit_length()) if m % p and q**m <= space]
+
+
+@pytest.mark.parametrize("q, m", _coprime_shapes(1 << 10))
+def test_dc_lcd_count_counts_the_criterion(q, m):
+    # even m over GF(3), GF(7) (q = 3 mod 4) and GF(5), GF(9) (q = 1 mod 4)
+    # gives the coset {m/2} = -{m/2} of size 1
+    field = field_from_order(q)
+    lcd = [dc_is_lcd(field, m, Poly(field, cc._serial_to_coeffs(s, q, m))) for s in range(q**m)]
+    assert cc.dc_lcd_count(q, m) == sum(lcd)
+
+
+@pytest.mark.parametrize("q, m", _coprime_shapes(1 << 14))
+def test_dc_lcd_count_matches_exhaustive_search(q, m):
+    assert dc_search(field_from_order(q), m).lcd_count == cc.dc_lcd_count(q, m)
+
+
 def _dc_distance(base, m, a):
     # the distance _dc_scan computes: the engine on G1 = [I | circ(a)]
     g1 = np.array([0, 1] + list(a), dtype=np.int64)[cc._dc_positions(m)]

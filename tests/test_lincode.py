@@ -130,6 +130,17 @@ def test_gram_hermitian_gf4():
     assert C.gram("hermitian") == [[0]]
 
 
+def test_gram_and_hull_reject_unknown_forms():
+    C = LinearCode.from_rows(F4, 3, [[1, 2, 3]])
+    assert C.hull_dim("euclidean") == 1  # (1, w, w^2) . (1, w, w^2) = 1 + w^2 + w = 0
+    for code, form in [(C, "Euclidean"), (LinearCode.from_rows(F3, 2, [[1, 2]]), "hermitan"),
+                       (LinearCode.from_rows(F3, 2, []), "eucl")]:
+        with pytest.raises(ValueError, match=f"unknown form '{form}'"):
+            code.hull_dim(form)
+        with pytest.raises(ValueError, match=f"unknown form '{form}'"):
+            code.gram(form)
+
+
 def test_systematic_form():
     C = LinearCode.from_rows(F2, 5, [[0, 1, 0, 1, 1], [0, 0, 1, 1, 0]])
     rows, perm = C.systematic_form()
