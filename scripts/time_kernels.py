@@ -5,20 +5,22 @@ of the quasi-cyclic CRT.
 Each DC shape is a stack of B seeded generators G = [I_m | circ(a)] over
 GF(q), k = m rows and n = 2m columns, reduced inside the right half as the
 Brouwer-Zimmermann engine takes its second information set:
-``lincode._reduce_stack`` on the whole stack, ``lincode._reduce_gf2_stack``
-on bit masks (q = 2 only), and the list ``rref`` on each matrix alone with
-the right half first; and the LCD screen ``construct._dc_screen`` on the
-stack's coefficient rows a, on the shapes with m prime to q (m = 8 is
-skipped over GF(2) and GF(4)).  Each QC shape is a list of QC_CODES seeded
-systematic codes of ``bench``'s certify shapes (ell = 3, r generators,
-dimension r*m), plus GF(2) at m = 21: ``QcCode.expand`` on each, and
-``qc.from_constituents`` on each one's constituents, which are taken
-outside the timed call; the caches are warm after the first run.  The
-``import`` entry times ``import qccd, qccd.cli`` in --runs fresh
-interpreters that have imported numpy first, as the benchmark's set-up
-does.  Prints one JSON line: the median wall time in microseconds of
---runs calls per kernel and shape, with nproc and the Python and numpy
-versions.
+``lincode._reduce_stack`` on the whole stack with the right half's mask,
+``lincode._reduce_gf2_stack`` on bit masks (q = 2 only), and the list
+``rref`` on each matrix alone with the right half first; the whole engine,
+``lincode.bz_min_distance`` on the stack with pivots 0..m-1, B = 1
+included, so the cost of a stack of one stays in view; and the LCD screen
+``construct._dc_screen`` on the stack's coefficient rows a, on the shapes
+with m prime to q (m = 8 is skipped over GF(2) and GF(4)).  Each QC shape
+is a list of QC_CODES seeded systematic codes of ``bench``'s certify
+shapes (ell = 3, r generators, dimension r*m), plus GF(2) at m = 21:
+``QcCode.expand`` on each, and ``qc.from_constituents`` on each one's
+constituents, which are taken outside the timed call; the caches are warm
+after the first run.  The ``import`` entry times ``import qccd, qccd.cli``
+in --runs fresh interpreters that have imported numpy first, as the
+benchmark's set-up does.  Prints one JSON line: the median wall time in
+microseconds of --runs calls per kernel and shape, with nproc and the
+Python and numpy versions.
 """
 import argparse
 import json
@@ -35,7 +37,7 @@ import numpy as np
 import qccd
 from qccd import QcCode, constituents, from_constituents, make_field
 from qccd.construct import _dc_screen
-from qccd.lincode import _reduce_gf2_stack, _reduce_stack, rref
+from qccd.lincode import _reduce_gf2_stack, _reduce_stack, bz_min_distance, rref
 from qccd.polyring import Poly
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2)}
@@ -96,7 +98,7 @@ def main(argv=None):
     for q, (p, k) in FIELDS.items():
         field = make_field(p, k)
         for m in MS:
-            right, order = range(m, 2 * m), [*range(m, 2 * m), *range(m)]
+            right, order = np.arange(2 * m) >= m, [*range(m, 2 * m), *range(m)]
             for batch in BATCHES:
                 stack = dc_stack(rng, q, m, batch)
                 shape = f"q{q}/m{m}/B{batch}"
@@ -106,6 +108,8 @@ def main(argv=None):
                     masks = stack @ (1 << np.arange(2 * m))
                     times[f"reduce_gf2_stack/{shape}"] = median_us(
                         lambda: _reduce_gf2_stack(masks, (1 << 2 * m) - (1 << m)), args.runs)
+                times[f"bz/{shape}"] = median_us(
+                    lambda: bz_min_distance(field, stack, range(m)), args.runs)
                 lists = stack[:, :, order].tolist()
                 times[f"rref/{shape}"] = median_us(
                     lambda: [rref(field, rows) for rows in lists], args.runs)

@@ -4,17 +4,20 @@ Generator matrices are kept in canonical reduced row-echelon form, so code
 equality is a plain matrix comparison.  Every elimination of one matrix
 (``rref``, ``LinearCode.contains``) runs through the field's one row
 operation ``FiniteField.row_sub_raw``; a stack of matrices is reduced in
-numpy one row at a time inside a set of columns (``_reduce_stack``, on bit
-masks ``_reduce_gf2_stack``).  ``_gram`` forms X conj(Y)^T for every pair
-of a stack whole: the Gram matrices of ``LinearCode.gram``, and the
-products in F_q[x]/(x^m - 1) of the double-circulant LCD screen.
+numpy one row at a time, each matrix inside its own mask of free columns
+(``_reduce_stack``, on bit masks ``_reduce_gf2_stack``).  ``_gram`` forms
+X conj(Y)^T for every pair of a stack whole: the Gram matrices of
+``LinearCode.gram``, and the products in F_q[x]/(x^m - 1) of the
+double-circulant LCD screen.
 
 Minimum distance is exact.  One Brouwer-Zimmermann engine,
 ``bz_min_distance``, gives one distance per code of a stack: a stack of one
 for ``LinearCode.min_distance`` (k <= n - k), exact; a block of candidates
 for the double-circulant search, with a floor, where only the block's
-first largest distance above the floor must be exact.  Codes with
-k > n - k enumerate their dual.
+first largest distance above the floor must be exact.  Each round of
+information sets is one masked elimination of every code still taking a
+set, and the rows of each new set lower its code's lightest word at once.
+Codes with k > n - k enumerate their dual.
 
 Enumeration (``weight_distribution``) is projective: scalar multiples of a
 codeword share its weight, so one codeword per class of nonzero scalar
@@ -264,20 +267,22 @@ def _span_weights_gf2(masks) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _np_tables(field: FiniteField):
-    """(EXP, LOG) with EXP[LOG[a] + LOG[b]] = a b for all a, b: LOG[0] points into zeros."""
+    """(EXP, LOG, INV) with EXP[LOG[a] + LOG[b]] = a b for all a, b (LOG[0]
+    points into zeros), INV[a] = a^-1 for a nonzero and INV[0] = 1."""
     exp, log = field.tables()
     n = field.order - 1
     EXP = np.zeros(4 * n + 1, dtype=np.int64)
     EXP[:2 * n - 1] = exp[:2 * n - 1]
-    return EXP, np.array([2 * n] + log[1:], dtype=np.int64)
+    LOG = np.array([2 * n] + log[1:], dtype=np.int64)
+    return EXP, LOG, EXP[-LOG % n]
 
 
 def _vmul(field: FiniteField, A: np.ndarray, B: np.ndarray, e: int = 1) -> np.ndarray:
-    """A B^e entrywise on raw codes (e < 0 needs B nonzero), from the exp/log
-    tables, or a b mod p over a prime field."""
+    """A B^e entrywise on raw codes (e >= 1), from the exp/log tables, or
+    a b mod p over a prime field."""
     if field.k == 1 and e == 1:
         return _mod(A * B, field.p)
-    EXP, LOG = _np_tables(field)
+    EXP, LOG, _ = _np_tables(field)
     if e == 1:
         return EXP[LOG[A] + LOG[B]]
     return np.where(B == 0, 0, EXP[LOG[A] + LOG[B] * e % (field.order - 1)])
@@ -371,9 +376,10 @@ def _reduce_gf2(masks: list[int], cols: int) -> tuple[list[int], list[int]]:
     return g, pivots
 
 
-def _reduce_gf2_stack(masks, cols: int) -> tuple[np.ndarray, np.ndarray]:
+def _reduce_gf2_stack(masks, cols) -> tuple[np.ndarray, np.ndarray]:
     """``_reduce_gf2`` of each row of a (B, k) stack of bit masks, one numpy
-    step per row: the reduced stack and the (B, k) pivot bits, 0 for a row
+    step per row, inside the mask cols, one int for the whole stack or a
+    (B,) array: the reduced stack and the (B, k) pivot bits, 0 for a row
     with no bit inside cols at its turn."""
     g = np.array(masks, dtype=np.int64)
     bits = np.zeros_like(g)
@@ -385,24 +391,29 @@ def _reduce_gf2_stack(masks, cols: int) -> tuple[np.ndarray, np.ndarray]:
     return g, bits
 
 
-def _reduce_stack(field: FiniteField, stack, cols) -> tuple[np.ndarray, np.ndarray]:
+def _reduce_stack(field: FiniteField, stack, free) -> tuple[np.ndarray, np.ndarray]:
     """``_reduce_gf2`` of each matrix of a (B, k, n) stack of raw codes over
-    any field, inside a list of columns, one numpy step per row: the reduced
-    stack and the (B, k) pivot columns, -1 for a row zero inside cols at its
-    turn.  A step takes the matrices that pivot, the whole stack if all do."""
-    M = np.array(stack, dtype=np.int64)
+    any field, inside its free columns, a boolean mask per matrix (B, n) or
+    one for all (n,), one numpy step per row: the reduced stack and the
+    (B, k) pivot columns, -1 for a row zero inside its free columns at its
+    turn."""
+    M = np.array(stack, dtype=np.int64, order="C")  # a copy; a strided one slows each step
     B, k, _ = M.shape
-    cols, pivots = np.asarray(cols, dtype=np.intp), np.full((B, k), -1)
-    for r in range(k if cols.size else 0):
-        c = cols[(M[:, r, cols] != 0).argmax(axis=1)]
-        lead = M[np.arange(B), r, c]  # 0: no pivot in this matrix
-        b = slice(None) if lead.all() else np.flatnonzero(lead)
-        X, c = M[b], c[b]
-        row = _vmul(field, X[:, r], lead[b, None], -1)
-        f = _vmul(field, field.neg_raw(1), X[np.arange(len(X)), :, c])
-        X = _vadd(field, X, _vmul(field, f[:, :, None], row[:, None]))
-        X[:, r] = row
-        M[b], pivots[b, r] = X, c
+    free, pivots, p = np.asarray(free, dtype=bool), np.full((B, k), -1), field.p
+    inv, at = _np_tables(field)[2], np.arange(B)
+    for r in range(k):
+        nonzero = (M[:, r] != 0) & free
+        c = nonzero.argmax(axis=1)
+        has = nonzero[at, c]  # False: no pivot, the matrix stays as it is (INV[0] = 1)
+        row = _vmul(field, M[:, r], inv[M[at, r, c] * has][:, None])
+        f, row = (M[at, :, c] * has[:, None])[:, :, None], row[:, None]
+        if p == 2:
+            M ^= _vmul(field, f, row)
+        elif field.k == 1:
+            M = _mod(M - f * row, p)
+        else:
+            M = _vadd(field, M, _vmul(field, _vmul(field, field.neg_raw(1), f), row))
+        M[:, r], pivots[:, r] = row[:, 0], np.where(has, c, -1)
     return M, pivots
 
 
@@ -429,12 +440,16 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
     ``_bz_bound`` only from w = k - r on, so a code stops taking sets when,
     at the best rank min(k, unused columns), its search would stop before
     that anyway: the bound already reaches its lightest row, or k = 1.
-    Codes with the same used columns are reduced together (``_reduce_stack``
-    or ``_reduce_gf2_stack``), a lone code by the list ``rref`` or
-    ``_reduce_gf2``, faster on one small matrix.  For w = 1, 2, ... the
+    Used columns are int bit masks.  A round reduces every code still
+    taking a set in one elimination, each inside its own unused columns
+    (``_reduce_stack`` or ``_reduce_gf2_stack`` with a mask per code); a
+    lone code takes the list ``rref`` or ``_reduce_gf2``, faster on one
+    small matrix.  The rows of each new set lower its code's lightest word
+    at once, so the next round's test sees them.  For w = 1, 2, ... the
     sums of w rows with first coefficient 1 of each matrix stand for all
-    words of information weight w; a code is done when its bound reaches
-    the lightest word seen, and at w = k at the latest.
+    words of information weight w (for w = 1 the rows, already weighed); a
+    code is done when its bound reaches the lightest word seen, and at
+    w = k at the latest.
 
     With a ``floor`` only the stack's first largest distance is wanted, and
     only if it is above the floor.  A code whose lightest row is at most
@@ -454,53 +469,59 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
     if packed:
         G, weigh = G @ (1 << np.arange(n, dtype=np.int64)), np.bitwise_count
     else:
-        weigh = lambda words: np.count_nonzero(words, axis=-1)  # noqa: E731
+        weigh = lambda words: np.add.reduce(words != 0, axis=-1)  # noqa: E731
     best = weigh(G).min(axis=1).astype(np.int64)
-    mats, owner, ranks = list(G), list(range(codes)), [[k] for _ in range(codes)]
-    used = [frozenset(pivots)] * codes
+    mats, owner, ranks = [G], list(range(codes)), [[k] for _ in range(codes)]
+    full = (1 << n) - 1
+    used = [sum(1 << c for c in pivots)] * codes  # bit masks of the used columns
     live = list(range(codes)) if k > 1 else []
     while live:
-        live = [b for b in live if len(used[b]) < n]
-        if not live:
-            break
-        depth = [k - min(k, n - len(used[b])) - 1 for b in live]  # before a set can add
+        live = [b for b in live if used[b] != full]
+        depth = [k - min(k, n - used[b].bit_count()) - 1 for b in live]  # before a set can add
         go = _bz_bound([ranks[b] for b in live], k, depth) < best[live]
         if floor is not None:
             go &= best[live] > floor
-        groups = {}
-        for b in np.array(live)[go].tolist():
-            groups.setdefault(used[b], []).append(b)
-        live = []
-        for cols, members in groups.items():
-            unused = [c for c in range(n) if c not in cols]
+        live = list(itertools.compress(live, go))
+        if not live:
+            break
+        free = [full ^ used[b] for b in live]
+        if len(live) == 1:
+            b = live[0]
             if packed:
-                mask = sum(1 << c for c in unused)
-                if len(members) == 1:
-                    reduced, new = zip(_reduce_gf2(G[members[0]].tolist(), mask))
-                else:
-                    reduced, bits = _reduce_gf2_stack(G[members], mask)
-                    new = [[b.bit_length() - 1 for b in p if b] for p in bits.tolist()]
-            elif len(members) == 1:
-                order = unused + sorted(cols)
-                reduced, piv = zip(rref(field, G[members[0]][:, order].tolist()))
-                new = [[order[c] for c in piv[0] if c < len(unused)]]
+                g, piv = _reduce_gf2(G[b].tolist(), free[0])
+                lightest = min(map(int.bit_count, g))
+            else:  # the free columns first
+                order = sorted(range(n), key=lambda c: used[b] >> c & 1)
+                g, piv = rref(field, G[b][:, order].tolist())
+                piv = [order[c] for c in piv if c < n - used[b].bit_count()]
+                lightest = n - max(row.count(0) for row in g)
+            best[b] = min(best[b], lightest)
+            reduced, new = [g], [sum(1 << c for c in piv)]
+        else:
+            if packed:
+                reduced, bits = _reduce_gf2_stack(G[live], np.array(free))
+                new = bits.sum(axis=1).tolist()
             else:
-                reduced, piv = _reduce_stack(field, G[members], unused)
-                new = [[c for c in p if c >= 0] for p in piv.tolist()]
-            for b, g, got in zip(members, reduced, new):
-                if got:
-                    mats.append(g)
-                    owner.append(b)
-                    ranks[b].append(len(got))
-                    used[b] = cols.union(got)
-                    live.append(b)
+                bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
+                free = np.array(free, dtype=np.uint64)[:, None] & bit != 0
+                reduced, piv = _reduce_stack(field, G[live], free)
+                new = np.where(piv >= 0, bit[piv], 0).sum(axis=1).tolist()
+            best[live] = np.minimum(best[live], weigh(reduced).min(axis=1))
+        took = [i for i, got in enumerate(new) if got]
+        for i in took:
+            ranks[live[i]].append(new[i].bit_count())
+            used[live[i]] |= new[i]
+        live = [live[i] for i in took]
+        mats.append(np.asarray(reduced)[took])
+        owner += live
     ranks = np.array(list(itertools.zip_longest(*ranks, fillvalue=0))).T  # 0: no set
     owner = np.array(owner)
-    mults = np.array(mats, dtype=np.int64)[:, None] if packed else _multiples(field, mats)
+    mats = np.concatenate(mats)
+    mults = mats[:, None] if packed else _multiples(field, mats)
     bounds = _bz_bound(ranks, k, np.arange(1, k + 1)[:, None])  # (w, code)
     dropped = np.zeros(codes, dtype=bool)
     for w in range(1, k + 1):
-        for words in _row_sums(field, mults, w):
+        for words in _row_sums(field, mults, w) if w > 1 else ():  # rows: weighed above
             np.minimum.at(best, owner, weigh(words).min(axis=1))
         done = (bounds[w - 1] >= best) & ~dropped
         if floor is not None:

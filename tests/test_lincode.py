@@ -384,24 +384,25 @@ def test_reduce_stack_over_gf2_is_the_mask_kernel(n, k):
     def bits(masks):
         return [[x >> j & 1 for j in range(n)] for x in masks]
 
-    for cols in ([], list(range(n)), sorted(rng.sample(range(n), rng.randrange(n + 1)))):
+    for cols in (0, (1 << n) - 1, rng.getrandbits(n)):
         for size in (1, 9):  # with zero and repeated rows
             stack = [[rng.getrandbits(n) if rng.random() < 0.8 else 0 for _ in range(k)]
                      for _ in range(size)]
             if size > 1:
                 stack[0], stack[1] = [0] * k, [stack[1][0]] * k
-            reduced, pivots = lc._reduce_stack(F2, [bits(masks) for masks in stack], cols)
+            free = np.array(bits([cols])[0], dtype=bool)
+            reduced, pivots = lc._reduce_stack(F2, [bits(masks) for masks in stack], free)
             assert reduced.shape == (size, k, n) and pivots.shape == (size, k)
             for masks, got, piv in zip(stack, reduced.tolist(), pivots.tolist()):
-                want, want_piv = lc._reduce_gf2(masks, sum(1 << c for c in cols))
+                want, want_piv = lc._reduce_gf2(masks, cols)
                 assert got == bits(want)
                 assert [c for c in piv if c >= 0] == want_piv
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4, F5, F9])
 def test_reduce_stack_pivots_inside_cols(field):
-    # unit pivot columns inside cols, other rows zero there, the rank of the
-    # cols submatrix, and the row space unchanged
+    # unit pivot columns inside the free mask, other rows zero there, the
+    # rank of the free submatrix, and the row space unchanged
     rng = random.Random(field.order + 11)
     for k, n in [(1, 1), (1, 4), (3, 5), (4, 4), (6, 3), (5, 8), (8, 16)]:
         for cols in ([], list(range(n)), sorted(rng.sample(range(n), rng.randrange(1, n + 1)))):
@@ -410,7 +411,7 @@ def test_reduce_stack_pivots_inside_cols(field):
                 if size > 1:
                     stack[1] = [[0] * n for _ in range(k)]
                     stack[2][-1] = list(stack[2][0])  # repeated row
-                R, pivots = lc._reduce_stack(field, np.array(stack), cols)
+                R, pivots = lc._reduce_stack(field, np.array(stack), np.isin(np.arange(n), cols))
                 assert R.shape == (size, k, n) and pivots.shape == (size, k)
                 for rows, got, piv in zip(stack, R.tolist(), pivots.tolist()):
                     for i, c in enumerate(piv):
@@ -422,6 +423,39 @@ def test_reduce_stack_pivots_inside_cols(field):
                     rank = len(rref(field, [[r[c] for c in cols] for r in rows])[1])
                     assert sum(c >= 0 for c in piv) == rank
                     assert rref(field, got) == rref(field, rows)
+
+
+@pytest.mark.parametrize("field,k,n", [
+    (F2, 5, 12), (F3, 4, 9), (F3, 4, 64), (F4, 3, 10), (F9, 3, 7),
+])
+def test_reduce_stack_with_a_mask_per_matrix(field, k, n):
+    # every matrix of a stack reduces inside its own mask (empty, full or
+    # random) exactly as it does alone; n = 64 puts a free column at bit 63
+    rng = random.Random(field.order * 31 + n)
+    stack = np.array([raw_rows(rng, field, n, k) for _ in range(12)])
+    free = np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(12)])
+    free[0], free[1] = False, True
+    R, pivots = lc._reduce_stack(field, stack, free)
+    for rows, mask, got, piv in zip(stack, free, R.tolist(), pivots.tolist()):
+        alone, alone_piv = lc._reduce_stack(field, rows[None], mask)
+        assert got == alone[0].tolist() and piv == alone_piv[0].tolist()
+    # no free column: no pivot and the matrix as it was
+    assert (pivots[0] == -1).all() and R[0].tolist() == stack[0].tolist()
+    assert (pivots[1] >= 0).any()
+    if field.order == 2 and n <= 63:
+        masks = stack @ (1 << np.arange(n))
+        cols = free @ (1 << np.arange(n))
+        reduced, bits = lc._reduce_gf2_stack(masks, cols)
+        for row_masks, col_mask, g, b in zip(masks.tolist(), cols.tolist(),
+                                             reduced.tolist(), bits.tolist()):
+            want, want_piv = lc._reduce_gf2(row_masks, col_mask)
+            assert g == want and [1 << c for c in want_piv] == [x for x in b if x]
+    if n == 64:
+        # the engine's free masks of length 64 reach bit 63 without overflow
+        codes = [systematic(field, [[rng.randrange(field.order) for _ in range(n - k)]
+                                    for _ in range(k)]) for _ in range(4)]
+        got = lc.bz_min_distance(field, codes, range(k)).tolist()
+        assert got == [min_weight(field, rows, n) for rows in codes]
 
 
 @pytest.mark.parametrize("field,form", [
@@ -564,7 +598,7 @@ def test_reduce_gf2_stack_matches_list_kernel(n, k):
 
 
 def test_bz_engine_reduces_binary_groups_as_stacks(monkeypatch):
-    # codes with the same used columns take one stack-kernel call; a lone code the list kernel
+    # every code taking a set in a round is in one stack-kernel call; a lone code takes the list kernel
     calls, stack_kernel, list_kernel = [], lc._reduce_gf2_stack, lc._reduce_gf2
     monkeypatch.setattr(lc, "_reduce_gf2_stack",
                         lambda *args: calls.append(len(args[0])) or stack_kernel(*args))
@@ -611,14 +645,17 @@ def systematic(field, p_rows):
 
 def ragged_stack(rng, field):
     """[I_4 | P] codes needing 1, 2 and 3 information sets: P = 0 (the
-    double-circulant code a = 0), P = b b c c (ranks 4, 2, 2), random P."""
+    double-circulant code a = 0), P = b b c c (ranks 4, 2, 2), random P,
+    and last b b c c with b = (1, 0, 1, 1), c = (0, 1, 1, 1), whose d = 2
+    is not seen before its third set."""
     stack = [systematic(field, [[0] * 4] * 4)]
     for _ in range(2):  # two, so the third sets are reduced as a stack too
         b, c = ([rng.randrange(field.order) for _ in range(4)] for _ in range(2))
         stack.append(systematic(field, [[b[i], b[i], c[i], c[i]] for i in range(4)]))
     stack += [systematic(field, [[rng.randrange(field.order) for _ in range(4)] for _ in range(4)])
               for _ in range(6)]
-    return stack
+    b, c = [1, 0, 1, 1], [0, 1, 1, 1]
+    return stack + [systematic(field, [[b[i], b[i], c[i], c[i]] for i in range(4)])]
 
 
 @pytest.mark.parametrize("chunk", [lc._SUMS, 4])
@@ -636,6 +673,27 @@ def test_bz_engine_on_ragged_stacks(monkeypatch, field, chunk):
         assert got == alone == [min_weight(field, rows, 8) for rows in stack]
     sets = {sum(r > 0 for r in ranks) for ranks, _ in seen}
     assert {1, 2, 3} <= sets
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_bz_engine_stacks_codes_with_their_own_used_columns(monkeypatch, field):
+    # codes whose earlier sets used different columns share one elimination
+    # a round, each inside its own unused columns: the new pivots of a
+    # code's sets are distinct columns, so their ranks sum to at most n
+    rng = random.Random(field.order + 19)
+    seen = record_ranks(monkeypatch)
+    for _ in range(40):
+        k, n = rng.choice([(3, 8), (3, 10), (4, 10)])  # low rate: three sets and more
+        P = [[[rng.randrange(field.order) for _ in range(n - k)] for _ in range(k)]
+             for _ in range(8)]
+        for p in P[::2]:  # a repeated column leaves the second set partial
+            for r in p:
+                r[-1] = r[0]
+        stack = [systematic(field, p) for p in P]
+        seen.clear()
+        got = lc.bz_min_distance(field, stack, range(k)).tolist()
+        assert got == [min_weight(field, rows, n) for rows in stack]
+        assert all(sum(ranks) <= n for ranks, _ in seen)
 
 
 @pytest.mark.parametrize("field", [F127, F131])
@@ -667,6 +725,22 @@ def test_bz_bound_counts_only_the_new_pivots_on_stacks(monkeypatch, field, b, c)
     assert lc.bz_min_distance(field, stack, range(4)).tolist() == want
     monkeypatch.setattr(lc, "_bz_bound", stronger_bound)
     assert lc.bz_min_distance(field, stack, range(4))[-1] == 3
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_bz_set_rows_lower_the_lightest_word(monkeypatch, field):
+    # rows 0 and 1 of P are equal, so the second set holds e0 - e1, of
+    # weight 2: its rows lower the lightest word from 3 to 2 at once, where
+    # the bound of two sets already reaches it, so no third set is taken,
+    # alone or in a stack
+    rows = systematic(field, [[1, 0, 0, 1], [1, 0, 0, 1], [1, 0, 1, 0], [1, 0, 0, 1]])
+    seen = record_ranks(monkeypatch)
+    for stack in ([rows], ragged_stack(random.Random(5), field)[3:6] + [rows]):
+        seen.clear()
+        got = lc.bz_min_distance(field, stack, range(4)).tolist()
+        assert got == [min_weight(field, g, 8) for g in stack] and got[-1] == 2
+        ranks, _ = seen[-1]  # the last code's sets in the final bound
+        assert sum(r > 0 for r in ranks) == 2
 
 
 def test_closed_under_permutation_and_frobenius():

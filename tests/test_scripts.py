@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+from fractions import Fraction
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -23,8 +24,20 @@ def test_reproduce_dc_table_smoke(capsys):
     assert table.main(["--m-max", "9"]) == 0
     out = capsys.readouterr().out
     assert "MISMATCH" not in out
-    rows = [line.split()[:2] for line in out.splitlines()[1:]]
-    assert rows == [["3", "1"], ["5", "3"], ["7", "4"], ["9", "3"]]
+    assert out.startswith("delta_GV = 0.1100 ")
+    rows = [line.split() for line in out.splitlines()[2:]]
+    assert [row[:2] for row in rows] == [["3", "1"], ["5", "3"], ["7", "4"], ["9", "3"]]
+    # d/2m, and LCD frac = dc_lcd_count(2, m) / 2^m
+    assert [row[4] for row in rows] == ["0.167", "0.300", "0.286", "0.167"]
+    fracs = [Fraction(1, 8), Fraction(11, 32), Fraction(57, 128), Fraction(55, 512)]
+    assert [row[5] for row in rows] == [f"{float(f):.4f}" for f in fracs]
+
+
+def test_reproduce_dc_table_flags_a_wrong_lcd_count(monkeypatch, capsys):
+    table = load_script("reproduce_dc_table")
+    monkeypatch.setattr(table, "dc_lcd_count", lambda q, m: 1)
+    assert table.main(["--m-max", "5"]) == 1
+    assert "#LCD MISMATCH (dc_lcd_count 1)" in capsys.readouterr().out
 
 
 def test_time_kernels_smoke(capsys):
@@ -33,8 +46,8 @@ def test_time_kernels_smoke(capsys):
     result = json.loads(capsys.readouterr().out)
     assert {"nproc", "python", "numpy"} <= result.keys()
     times = result["median_us"]
-    # every DC shape, mask kernel on GF(2) only, the screen where m is prime
-    # to q (not m = 8 over GF(2), GF(4)); two QC kernels on 11 (q, m) shapes, r = 1, 2;
-    # and the cold import
-    assert len(times) == 4 * 3 * 3 * 2 + 3 * 3 + (4 * 3 - 2) * 3 + 2 * 11 * 2 + 1
+    # every DC shape (stack kernel, list rref, whole engine), mask kernel on
+    # GF(2) only, the screen where m is prime to q (not m = 8 over GF(2),
+    # GF(4)); two QC kernels on 11 (q, m) shapes, r = 1, 2; and the cold import
+    assert len(times) == 4 * 3 * 3 * 3 + 3 * 3 + (4 * 3 - 2) * 3 + 2 * 11 * 2 + 1
     assert all(t > 0 for t in times.values())
