@@ -18,8 +18,10 @@ shapes (ell = 3, r generators, dimension r*m), plus GF(2) at m = 21:
 constituents, which are taken outside the timed call; the caches are warm
 after the first run.  The ``import`` entry times ``import qccd, qccd.cli``
 in --runs fresh interpreters that have imported numpy first, as the
-benchmark's set-up does.  Prints one JSON line: the median wall time in
-microseconds of --runs calls per kernel and shape, with nproc and the
+benchmark's set-up does; each also reads its VmRSS from /proc/self/status
+(Linux) before and after that import, and whether OpenSSL's ``_hashlib``
+got loaded.  Prints one JSON line: the median wall time in microseconds of
+--runs calls per kernel and shape, the import's footprint, nproc and the
 Python and numpy versions.
 """
 import argparse
@@ -64,18 +66,37 @@ def systematic_qc(rng: random.Random, field, m: int, ell: int, r: int) -> QcCode
     return QcCode.make(field, m, ell, gens)
 
 
-COLD_IMPORT = ("import time, numpy; t = time.perf_counter(); import qccd, qccd.cli; "
-               "print(time.perf_counter() - t)")
+COLD_IMPORT = """
+import json, sys, time, numpy
+
+def rss_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+
+before = rss_kb()
+t = time.perf_counter()
+import qccd, qccd.cli
+s = time.perf_counter() - t
+print(json.dumps([s, before, rss_kb(), "_hashlib" in sys.modules]))
+"""
 
 
-def cold_import_us(runs: int) -> float:
-    """Median wall time in microseconds of importing qccd in a fresh interpreter."""
+def cold_import(runs: int) -> tuple[float, dict]:
+    """Importing qccd in a fresh interpreter: the median wall time in
+    microseconds, and the median VmRSS in kB before and after the import
+    with whether any run loaded OpenSSL (``_hashlib``)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qccd.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    times = [float(subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, check=True,
-                                  capture_output=True, text=True, timeout=120).stdout)
-             for _ in range(runs)]
-    return round(1e6 * statistics.median(times), 1)
+    results = [json.loads(subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env,
+                                         check=True, capture_output=True, text=True,
+                                         timeout=120).stdout)
+               for _ in range(runs)]
+    s, before, after, openssl = zip(*results)
+    return round(1e6 * statistics.median(s), 1), {
+        "rss_before_kb": statistics.median(before),
+        "rss_after_kb": statistics.median(after),
+        "openssl": any(openssl),
+    }
 
 
 def median_us(call, runs: int) -> float:
@@ -94,7 +115,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
-    times = {"import": cold_import_us(args.runs)}
+    import_us, footprint = cold_import(args.runs)
+    times = {"import": import_us}
     for q, (p, k) in FIELDS.items():
         field = make_field(p, k)
         for m in MS:
@@ -132,6 +154,7 @@ def main(argv=None):
         "numpy": np.__version__,
         "seed": args.seed,
         "runs": args.runs,
+        "import": footprint,
         "median_us": times,
     }))
     return 0

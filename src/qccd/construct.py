@@ -3,7 +3,6 @@ double-circulant criterion and exhaustive/random search, and subfield
 descent through a self-dual basis."""
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import os
@@ -26,6 +25,11 @@ from .field import FieldElement, FiniteField, field_from_order, make_field
 from .lincode import _CHUNK, ENUM_CAP, LinearCode, _gram, _vadd, bz_min_distance
 from .polyring import Poly, cyclotomic_cosets, poly_gcd, xm_minus_one
 from .qc import QcCode
+
+try:  # hashlib loads OpenSSL's libcrypto; its blake2b is this built-in one
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 SEARCH_CAP = 1 << 20
 _DC_BLOCK = 128  # candidates tested at once by _dc_scan
@@ -252,7 +256,7 @@ def _clamp_workers(workers: int, chunks: int) -> int:
 
 def _random_serials(seed: int, trials: int, space: int):
     for i in range(trials):
-        digest = hashlib.blake2b(f"{seed}:{i}".encode(), digest_size=8).digest()
+        digest = blake2b(f"{seed}:{i}".encode(), digest_size=8).digest()
         yield int.from_bytes(digest, "big") % space
 
 

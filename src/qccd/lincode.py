@@ -88,7 +88,6 @@ class LinearCode:
         if pivot_cols is None:
             pivot_cols = [next(j for j, x in enumerate(r) if x) for r in self.rows]
         self.pivot_cols = tuple(pivot_cols)
-        self._dmin = None
 
     @classmethod
     def from_rows(cls, field: FiniteField, n: int, rows) -> "LinearCode":
@@ -212,24 +211,24 @@ class LinearCode:
         """Exact minimum Hamming weight over nonzero codewords:
         ``bz_min_distance`` on the RREF for k <= n - k, else the Krawtchouk
         transform of the smaller dual's weights (faster there, measured).
-        q^min(k, n - k) above ``ENUM_CAP`` is refused."""
+        q^min(k, n - k) above ``ENUM_CAP`` is refused.  Equal codes share
+        one computation: the last 16 distances are kept."""
         if self.k == 0:
             raise ValueError("the zero code has no minimum distance")
-        if self._dmin is not None:
-            return self._dmin
-        q, k, n = self.field.order, self.k, self.n
-        small = min(k, n - k)
-        if q**small > ENUM_CAP:
-            raise TooLargeToEnumerate(
-                f"min(q^k, q^(n-k)) = {q}^{small} exceeds the enumeration cap"
-            )
-        if k <= n - k:
-            d = int(bz_min_distance(self.field, [self.rows], self.pivot_cols)[0])
-        else:
-            dual_dist = weight_distribution(self.field, self.dual().rows, n)
-            d = _min_weight_from_dual(dual_dist, n, q)
-        self._dmin = d
-        return d
+        return _min_distance(self)
+
+
+@lru_cache(maxsize=16)
+def _min_distance(code: LinearCode) -> int:
+    q, k, n = code.field.order, code.k, code.n
+    small = min(k, n - k)
+    if q**small > ENUM_CAP:
+        raise TooLargeToEnumerate(
+            f"min(q^k, q^(n-k)) = {q}^{small} exceeds the enumeration cap"
+        )
+    if k <= n - k:
+        return int(bz_min_distance(code.field, [code.rows], code.pivot_cols)[0])
+    return _min_weight_from_dual(weight_distribution(code.field, code.dual().rows, n), n, q)
 
 
 # ---------------------------------------------------------------------------

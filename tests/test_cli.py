@@ -129,6 +129,33 @@ def test_qc_jensen(tmp_path, capsys):
     assert payload["bound"] <= payload["min_distance"]
 
 
+# the [8,4,4] extended Hamming code as a quasi-cyclic code with m = 1
+HAMMING_M1 = "2 1 8 4\n1|0|0|0|0|1|1|1\n0|1|0|0|1|0|1|1\n0|0|1|0|1|1|0|1\n0|0|0|1|1|1|1|0\n"
+
+
+def test_qc_jensen_takes_one_distance_at_m1(tmp_path, capsys, monkeypatch):
+    # with m = 1 the one constituent is the expanded code itself, so the
+    # bound and the oracle share one BZ run; the inner code, all of GF(2),
+    # takes its distance from the dual's weights
+    f = tmp_path / "hamming.qc"
+    f.write_text(HAMMING_M1)
+    calls, bz = [], lc.bz_min_distance
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bz(*args, **kwargs)
+
+    lc._min_distance.cache_clear()
+    monkeypatch.setattr(lc, "bz_min_distance", counted)
+    code, payload = run_json(capsys, "qc-jensen", "--in", str(f))
+    payload.pop("time")
+    assert (code, payload) == (0, {
+        "command": "qc-jensen", "q": 2, "m": 1, "ell": 8,
+        "bound": 4, "min_distance": 4, "oracle_agreement": True,
+    })
+    assert len(calls) == 1
+
+
 def _systematic_qc(seed):
     """GF(2), m = 5, ell = 12, r = 7: generator i is 1 in block i, 0 in the
     other first seven blocks, and seeded bits in the last five."""
@@ -392,6 +419,25 @@ def test_import_loads_no_process_pool():
     loaded = set(proc.stdout.split())
     assert "qccd.construct" in loaded
     assert not {"concurrent.futures.process", "multiprocessing"} & loaded
+
+
+def test_dc_search_loads_no_openssl():
+    # random trials hash with the interpreter's own BLAKE2b; hashlib would
+    # load OpenSSL's libcrypto through _hashlib
+    code = (
+        "import contextlib, io, sys\n"
+        "from qccd import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['dc-search', '--q', '2', '--m', '11', '--seed', '7',"
+        " '--trials', '200']) == 0\n"
+        "    assert cli.main(['dc-search', '--q', '3', '--m', '4', '--exhaustive']) == 0\n"
+        "print(*sys.modules)\n"
+    )
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "qccd.construct" in loaded
+    assert "_hashlib" not in loaded
 
 
 def test_parser_reused_across_subcommands(capsys):

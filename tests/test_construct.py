@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -176,6 +177,18 @@ def test_dc_screen_every_serial(q, m_max):
     for m in range(1, m_max + 1):
         if m % field.p:
             _screen_against_gcd(field, m, range(q**m))
+
+
+@pytest.mark.parametrize("m", range(1, 14, 2))
+def test_dc_screen_gf2_rejects_odd_weight(m):
+    # over GF(2), c(1) = 1 + a(1) a*(1) = 1 + a(1)^2 is 0 when a has odd
+    # weight, so c is not a unit: every binary LCD <(1, a)> has a of even weight
+    serials = np.arange(2**m)
+    a = (serials[:, None] >> np.arange(m)) & 1
+    odd = a.sum(axis=1) % 2 == 1
+    verdicts = cc._dc_screen(F2, m, a)
+    assert not verdicts[odd].any()
+    assert verdicts[~odd].any()
 
 
 @pytest.mark.parametrize("q, m", [(3, 41), (3, 44), (4, 45), (5, 64)])
@@ -606,6 +619,18 @@ def test_dc_search_random_mode_ties_and_repeats():
     ]
     assert r.lcd_count == len(lcd) == 94
     assert len(set(lcd)) == 92
+
+
+@pytest.mark.parametrize("seed, space", [(0, 2), (7, 2**11), (1, 3**8), (3, 4**7), (44, 3**44)])
+def test_random_serials_are_blake2b_digests(seed, space):
+    # the first 8 bytes of BLAKE2b("seed:i"), big-endian, reduced mod the
+    # space; 3^44 > 2^64 leaves the digest whole
+    expected = [
+        int.from_bytes(hashlib.blake2b(f"{seed}:{i}".encode(), digest_size=8).digest(), "big")
+        % space
+        for i in range(200)
+    ]
+    assert list(cc._random_serials(seed, 200, space)) == expected
 
 
 def test_dc_search_cap():

@@ -226,11 +226,18 @@ def test_min_distance_of_high_rate_bch_codes(leaders, k, d):
     assert C.min_distance() == d
 
 
-def test_min_distance_cached():
+def test_min_distance_cached(monkeypatch):
+    # equal codes share one computation, across instances too; [7,4] takes
+    # its distance from the dual's weights
+    calls = []
+    monkeypatch.setattr(lc, "weight_distribution",
+                        lambda *args: calls.append(args) or weight_distribution(*args))
+    lc._min_distance.cache_clear()
     C = LinearCode.from_rows(F2, 7, HAMMING_7_4)
     assert C.min_distance() == 3
-    assert C._dmin == 3
+    assert LinearCode.from_rows(F2, 7, HAMMING_7_4[::-1]).min_distance() == 3
     assert C.min_distance() == 3
+    assert len(calls) == 1
 
 
 def test_enumeration_cap():

@@ -45,6 +45,9 @@ def test_time_kernels_smoke(capsys):
     assert timer.main(["--runs", "1"]) == 0
     result = json.loads(capsys.readouterr().out)
     assert {"nproc", "python", "numpy"} <= result.keys()
+    footprint = result["import"]
+    assert 0 < footprint["rss_before_kb"] < footprint["rss_after_kb"]
+    assert footprint["openssl"] is False
     times = result["median_us"]
     # every DC shape (stack kernel, list rref, whole engine), mask kernel on
     # GF(2) only, the screen where m is prime to q (not m = 8 over GF(2),
