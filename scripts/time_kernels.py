@@ -20,7 +20,10 @@ after the first run.  The ``import`` entry times ``import qccd, qccd.cli``
 in --runs fresh interpreters that have imported numpy first, as the
 benchmark's set-up does; each also reads its VmRSS from /proc/self/status
 (Linux) before and after that import, and whether OpenSSL's ``_hashlib``
-got loaded.  Prints one JSON line: the median wall time in microseconds of
+got loaded.  The ``field`` entries time the cold construction of GF(2^11),
+GF(2^16), GF(3^10), GF(251^2) and GF(65521), modulus search and tables,
+as ``FiniteField(p, k, _smallest_irreducible(p, k))``, past ``make_field``'s
+cache.  Prints one JSON line: the median wall time in microseconds of
 --runs calls per kernel and shape, the import's footprint, nproc and the
 Python and numpy versions.
 """
@@ -39,6 +42,7 @@ import numpy as np
 import qccd
 from qccd import QcCode, constituents, from_constituents, make_field
 from qccd.construct import _dc_screen
+from qccd.field import FiniteField, _smallest_irreducible
 from qccd.lincode import _reduce_gf2_stack, _reduce_stack, bz_min_distance, rref
 from qccd.polyring import Poly
 
@@ -47,6 +51,7 @@ MS = (5, 7, 8)
 BATCHES = (1, 16, 128)
 QC_SHAPES = [(q, m) for q in FIELDS for m in (3, 5, 7) if m % FIELDS[q][0]] + [(2, 21)]
 QC_CODES = 8
+COLD_FIELDS = [(2, 11), (2, 16), (3, 10), (251, 2), (65521, 1)]
 
 
 def dc_stack(rng: random.Random, q: int, m: int, batch: int) -> np.ndarray:
@@ -117,6 +122,9 @@ def main(argv=None):
     rng = random.Random(args.seed)
     import_us, footprint = cold_import(args.runs)
     times = {"import": import_us}
+    for p, k in COLD_FIELDS:
+        times[f"field/{p}^{k}"] = median_us(
+            lambda: FiniteField(p, k, _smallest_irreducible(p, k)), args.runs)
     for q, (p, k) in FIELDS.items():
         field = make_field(p, k)
         for m in MS:

@@ -216,12 +216,11 @@ def _dc_scan(base: FiniteField, m: int, serials, weights):
     first serial of the largest distance wins.  Each block's digits are
     screened by ``_dc_screen``; one ``bz_min_distance`` call on the block's
     LCD G1 = [I | circ(a)] (pivots 0..m-1) gives their distances, with the
-    running best as its floor, so it stops every code that cannot beat it.
-    Lengths 2m past a 64-bit mask over GF(2), and q^m above ``ENUM_CAP``,
-    are refused."""
+    running best as its floor, so it stops every code that cannot beat it."""
     q = base.order
-    # the scalar multiples of a block, about (q - 1) m^2 entries a code, stay near _CHUNK
-    size = max(1, min(_DC_BLOCK, _CHUNK // ((q - 1) * m * m)))
+    # the scalar multiples of a block, about (q - 1) m^2 entries a code, stay
+    # near _CHUNK; a code of dimension m = 1 takes no row sums and builds none
+    size = max(1, min(_DC_BLOCK, _CHUNK // ((q - 1) * m * m))) if m > 1 else _DC_BLOCK
     count, best_d, best_serial = 0, -1, -1
     for start in range(0, len(serials), size):
         block = serials[start:start + size]
@@ -233,10 +232,6 @@ def _dc_scan(base: FiniteField, m: int, serials, weights):
         lcd = _dc_screen(base, m, g1[:, 2:])
         if not lcd.any():
             continue
-        if q == 2 and 2 * m > 63:
-            raise TooLargeToEnumerate(f"codewords of length {2 * m} exceed a 64-bit mask")
-        if q > 2 and q**m > ENUM_CAP:
-            raise TooLargeToEnumerate(f"{q}^{m} codewords exceed the enumeration cap")
         block, g1 = list(itertools.compress(block, lcd)), g1[lcd][:, _dc_positions(m)]
         d = bz_min_distance(base, g1, range(m), floor=best_d)
         count += sum(w for w, keep in zip(weights[start:start + size], lcd) if keep)
@@ -288,7 +283,9 @@ def dc_search(
     never reduced; further information sets lie in the right half.  The
     best distance so far is the engine's floor: a candidate that cannot
     beat it stops early, and its upper bound never replaces it.  More
-    than ``SEARCH_CAP`` candidates or trials are refused.
+    than ``SEARCH_CAP`` candidates or trials are refused, and so are
+    lengths 2m past a 64-bit mask over GF(2) and q^m above ``ENUM_CAP``
+    over other fields, before any candidate is drawn.
     ``workers`` splits the candidates into contiguous chunks, so the report
     is identical for any worker count; it is clamped to the CPUs and the
     candidates.  The process pool is imported only when one starts, so a
@@ -308,6 +305,11 @@ def dc_search(
             raise ValueError("random mode requires a seed")
         if trials > SEARCH_CAP:
             raise TooLargeToEnumerate(f"{trials} trials exceed the search cap")
+        # exhaustive mode stays below both at SEARCH_CAP
+        if q == 2 and 2 * m > 63:
+            raise TooLargeToEnumerate(f"codewords of length {2 * m} exceed a 64-bit mask")
+        if q > 2 and space > ENUM_CAP:
+            raise TooLargeToEnumerate(f"{q}^{m} codewords exceed the enumeration cap")
         serials = list(_random_serials(seed, trials, space))
         if q == 2:
             serials.sort()

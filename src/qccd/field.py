@@ -6,11 +6,14 @@ integer in [0, p^k): the base-p digits are the coefficients, low digit =
 constant coefficient.  All field contexts are interned singletons, so the
 choice of modulus and primitive element is bit-reproducible across runs.
 
-Fields have order at most 2^16, and each builds its exp/log tables of a
-primitive element g when it is created; in odd characteristic with k > 1
-also Zech logarithms zech[d] = log(1 + g^d) for addition.  All arithmetic,
-the row operation ``row_sub_raw`` (xs - c*ys) included, reads these tables;
-traces read one table per subfield, built from the traces of the basis.
+Fields have order at most 2^16.  Each is built from X, the k x k matrix
+over GF(p) of multiplication by x on digit rows: the modulus passes
+Rabin's irreducibility test on X, an element a acts as M_a = sum a_i X^i,
+and the exp/log tables of the primitive element g are built by doubling
+with M_(g^t); in odd characteristic with k > 1 also Zech logarithms
+zech[d] = log(1 + g^d) for addition.  All arithmetic, the row operation
+``row_sub_raw`` (xs - c*ys) included, reads these tables; traces read one
+table per subfield, built from the traces of the basis.
 """
 from __future__ import annotations
 
@@ -62,49 +65,46 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# prime-field polynomial helpers (coefficient tuples, low degree first)
+# construction: k x k matrices over GF(p) acting on digit rows
 # ---------------------------------------------------------------------------
 
-def _pf_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _mat_pow(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    """M^e mod p for e >= 1 by square-and-multiply."""
+    R = M
+    for bit in bin(e)[3:]:
+        R = R @ R % p
+        if bit == "1":
+            R = R @ M % p
+    return R
 
 
-def _pf_mod(a, b, p):
-    # b monic
-    a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - db
-            for j in range(db):
-                a[shift + j] = (a[shift + j] - c * b[j]) % p
-        a.pop()
-    return _pf_trim(a)
-
-
-def _pf_is_irreducible(f, p) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    k = len(f) - 1
-    if k == 1:
-        return True
-    for d in range(1, k // 2 + 1):
-        for digits in itertools.product(range(p), repeat=d):
-            g = list(digits) + [1]
-            if not _pf_mod(f, g, p):
-                return False
-    return True
+def _times_x(modulus, p: int) -> np.ndarray:
+    """X, the matrix of multiplication by x on the digit rows of
+    GF(p)[x]/(f): row i is x^(i+1), and x^k = -(f_0 + ... + f_(k-1) x^(k-1))."""
+    k = len(modulus) - 1
+    X = np.eye(k, k, 1, dtype=np.int64)
+    X[-1] = [-c % p for c in modulus[:k]]
+    return X
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over GF(p),
-    coefficients compared low-degree-first."""
-    for digits in itertools.product(range(p), repeat=k):
-        f = list(digits) + [1]
-        if _pf_is_irreducible(f, p):
-            return tuple(f)
+    coefficients compared low-degree-first, by Rabin's test: X^(p^k) = X,
+    so f is a product of distinct irreducibles of degrees dividing k, and
+    X^(p^(k/r)) - X is a unit, its (p^k - 1)-th power I, for each prime
+    r | k.  With k > 1, x divides every candidate with constant term 0."""
+    if k == 1:
+        return (0, 1)
+    one = np.eye(k, dtype=np.int64)
+    for low in itertools.product(range(1, p), *[range(p)] * (k - 1)):
+        X = _times_x((*low, 1), p)
+        frob = [X]  # frob[j] = X^(p^j)
+        for _ in range(k):
+            frob.append(_mat_pow(frob[-1], p, p))
+        if np.array_equal(frob[k], X) and all(
+                np.array_equal(_mat_pow((frob[k // r] - X) % p, p**k - 1, p), one)
+                for r in _prime_factors(k)):
+            return (*low, 1)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -122,10 +122,6 @@ class FiniteField:
         self.modulus = modulus
         self._embeddings: dict[int, tuple[list[int], dict[int, int]]] = {}
         self._traces: dict[int, list[int]] = {}
-        if p == 2:
-            self._mod_bits = sum(1 << i for i, c in enumerate(modulus) if c)
-        else:
-            self._mod_bits = None
         self._pk_pows = [p**i for i in range(k + 1)]
         self._build_tables()
 
@@ -194,52 +190,23 @@ class FiniteField:
         return [(exp[log[x] + zech[lc + log[y] - log[x]]] if x else exp[lc + log[y]]) if y else x
                 for x, y in zip(xs, ys)]
 
-    def _polymul_raw(self, a: int, b: int) -> int:
-        """a * b in the polynomial basis: only to find g and build the tables."""
-        if a == 0 or b == 0:
-            return 0
-        if self.p == 2:
-            k, mod = self.k, self._mod_bits
-            r = 0
-            top = 1 << k
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= mod
-            return r
-        p = self.p
-        da, db = self.to_digits(a), self.to_digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce by the monic modulus
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.k):
-                    prod[i - self.k + j] = (prod[i - self.k + j] - c * self.modulus[j]) % p
-        return self.from_digits(prod[: self.k])
-
     def _build_tables(self) -> None:
-        """g is the first element in canonical order that generates the
-        multiplicative group; exp[i] = g^i for i < 2n, log inverts it.  The
-        digit rows of g^0 .. g^(t-1) times the matrix of multiplication by
-        h = g^t are the rows of g^t .. g^(2t-1), so t doubles per product."""
-        n, p, pows = self.order - 1, self.p, self._pk_pows[:-1]
-        facs = _prime_factors(n) if n > 1 else []
-        g = next(g for g in range(1, self.order)
-                 if all(self._pow_square_mult(g, n // f) != 1 for f in facs))
-        rows, h = np.array([self.to_digits(1)]), g
+        """g is the first element in canonical order with M_g^(n/r) != I for
+        each prime r | n, a generator of the multiplicative group; exp[i] =
+        g^i for i < 2n, log inverts it.  The digit rows of g^0 .. g^(t-1)
+        times M_(g^t) are those of g^t .. g^(2t-1), so t doubles per product."""
+        n, p, k, pows = self.order - 1, self.p, self.k, self._pk_pows[:-1]
+        X = _times_x(self.modulus, p)
+        xpows = list(itertools.accumulate([X] * (k - 1), lambda A, B: A @ B % p,
+                                          initial=np.eye(k, dtype=np.int64)))
+        for g in range(1, self.order):
+            M = np.tensordot(self.to_digits(g), xpows, 1) % p
+            if all((_mat_pow(M, n // r, p) != xpows[0]).any() for r in _prime_factors(n)):
+                break
+        rows = xpows[0][:1]
         while len(rows) < n:
-            times_h = np.array([self.to_digits(self._polymul_raw(h, x)) for x in pows])
-            rows = np.concatenate([rows, rows @ times_h % p])
-            h = self._polymul_raw(h, h)
+            rows = np.concatenate([rows, rows @ M % p])
+            M = M @ M % p
         codes = rows[:n] @ pows
         exp = codes.tolist() * 2
         log = np.zeros(self.order, dtype=np.int64)
@@ -269,15 +236,6 @@ class FiniteField:
         if a == 0:
             raise DivisionByZero("cannot invert zero")
         return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
-
-    def _pow_square_mult(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._polymul_raw(r, a)
-            a = self._polymul_raw(a, a)
-            e >>= 1
-        return r
 
     def pow_raw(self, a: int, e: int) -> int:
         if a == 0:

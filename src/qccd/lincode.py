@@ -516,7 +516,7 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
     ranks = np.array(list(itertools.zip_longest(*ranks, fillvalue=0))).T  # 0: no set
     owner = np.array(owner)
     mats = np.concatenate(mats)
-    mults = mats[:, None] if packed else _multiples(field, mats)
+    mults = mats[:, None] if packed or k == 1 else _multiples(field, mats)  # k = 1: no row sums
     bounds = _bz_bound(ranks, k, np.arange(1, k + 1)[:, None])  # (w, code)
     dropped = np.zeros(codes, dtype=bool)
     for w in range(1, k + 1):

@@ -282,9 +282,9 @@ def test_gf2_bz_distance_seeded(m):
 
 
 def test_gf2_bz_distance_mask_width():
-    # codewords of length 2m must fit a 64-bit mask
+    # codewords of length 2m must fit a 64-bit mask; a = 0 is LCD
     with pytest.raises(TooLargeToEnumerate):
-        cc._dc_scan(F2, 33, [0], [1])
+        dc_search(F2, 33, mode="random", seed=1, trials=1)
 
 
 @pytest.mark.parametrize("field, m_max", [(F3, 5), (F4, 5), (F5, 4), (F9, 3)])
@@ -350,26 +350,62 @@ def test_bz_distance_needs_no_fallback(monkeypatch, field, m):
 def test_bz_distance_refuses_large_codes():
     # 3^16 > ENUM_CAP; a = 0 would otherwise end at w = 1
     with pytest.raises(TooLargeToEnumerate):
-        cc._dc_scan(F3, 16, [0], [1])
+        dc_search(F3, 16, mode="random", seed=1, trials=1)
     with pytest.raises(TooLargeToEnumerate):
         double_circulant(F3, 16, Poly.zero(F3)).expand().min_distance()
 
 
-def test_dc_scan_takes_exact_digits_of_serials_past_2_63():
+def test_dc_scan_takes_exact_digits_of_serials_past_2_63(monkeypatch):
     # random serials reach 2^64 - 1, and the place values 3^41..3^43 of m = 44
-    # pass 2^64: with exact digits the screen refuses exactly the serials the
-    # gcd criterion calls LCD
+    # pass 2^64: with exact digits the screen passes on exactly the serials
+    # the gcd criterion calls LCD, with their digits as the first row's right half
+    passed = []
+    monkeypatch.setattr(cc, "bz_min_distance", lambda base, g1, pivots, floor: (
+        passed.append(g1), np.zeros(len(g1), dtype=np.int64))[1])
     rng = random.Random(9)
     verdicts = set()
     for serial in [2**64 - 1, 2**63 + 5] + [rng.getrandbits(64) for _ in range(10)]:
-        lcd = dc_is_lcd(F3, 44, Poly(F3, cc._serial_to_coeffs(serial, 3, 44)))
+        coeffs = cc._serial_to_coeffs(serial, 3, 44)
+        lcd = dc_is_lcd(F3, 44, Poly(F3, coeffs))
         verdicts.add(lcd)
-        if lcd:
-            with pytest.raises(TooLargeToEnumerate):
-                cc._dc_scan(F3, 44, [serial], [1])
-        else:
-            assert cc._dc_scan(F3, 44, [serial], [1]) == (0, -1, -1)
+        passed.clear()
+        assert cc._dc_scan(F3, 44, [serial], [1]) == ((1, 0, serial) if lcd else (0, -1, -1))
+        assert [g1[0, 0, 44:].tolist() for g1 in passed] == ([coeffs] if lcd else [])
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q, m, seeds", [(2, 41, range(1, 9)), (3, 25, range(1, 6))])
+def test_dc_search_refuses_unsupported_sizes_for_every_seed(monkeypatch, q, m, seeds):
+    # the refusal comes before any candidate is screened, so it does not
+    # depend on whether the drawn serials hold an LCD one
+    def no_screen(*args):
+        raise AssertionError("a candidate was screened")
+
+    monkeypatch.setattr(cc, "_dc_screen", no_screen)
+    for seed in seeds:
+        with pytest.raises(TooLargeToEnumerate):
+            dc_search(field_from_order(q), m, mode="random", seed=seed, trials=1)
+
+
+@pytest.mark.parametrize("q", [2**13, 3**8])
+def test_dc_search_m1_takes_full_blocks_and_no_multiples(monkeypatch, q):
+    # a code of dimension 1 takes no row sums, so no scalar multiples are
+    # built and the q serials go in blocks of _DC_BLOCK
+    calls = {"screen": 0, "multiples": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cc, "_dc_screen", counting("screen", cc._dc_screen))
+    monkeypatch.setattr(lc, "_multiples", counting("multiples", lc._multiples))
+    report = dc_search(field_from_order(q), 1)
+    assert calls == {"screen": -(-q // cc._DC_BLOCK), "multiples": 0}
+    # a = 0 gives [2,1,1]; every other LCD a, 1 + a^2 != 0, gives [2,1,2]
+    assert report.lcd_count == cc.dc_lcd_count(q, 1)
+    assert report.best_distance == 2 and report.best_serial == (2 if q % 2 == 0 else 1)
 
 
 def _reference_scan(base, m, serials, mode="exhaustive", first_tie=False):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import pickle
 import random
 
@@ -14,6 +16,9 @@ from qccd.errors import (
 )
 from qccd.field import (
     FieldElement,
+    FiniteField,
+    _is_prime,
+    _smallest_irreducible,
     field_from_order,
     frobenius,
     make_field,
@@ -158,18 +163,78 @@ def test_trace_values():
     assert trace(FieldElement(F4, 3), F2).raw == 1
 
 
+def schoolbook_product(F, a, b):
+    """a * b from the digit lists of a and b: their product as polynomials
+    over GF(p), reduced by the monic modulus from the top degree down."""
+    p, k, f = F.p, F.k, F.modulus
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(F.to_digits(a)):
+        for j, y in enumerate(F.to_digits(b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    while len(prod) > k:
+        c, shift = prod.pop(), len(prod) - k
+        for j in range(k):
+            prod[shift + j] = (prod[shift + j] - c * f[j]) % p
+    return F.from_digits(prod)
+
+
 @pytest.mark.parametrize("p, k", [(2, 1), (2, 8), (3, 5), (5, 3), (7, 2), (257, 1), (2, 16), (3, 10)])
 def test_tables_match_polynomial_products(p, k):
-    # the tables, built by doubling, against products in the polynomial basis
+    # the tables, built by doubling, against schoolbook products: exp[i + 1]
+    # = exp[i] g and exp lists every nonzero element once, so g is primitive
     F = make_field(p, k)
     exp, log = F.tables()
     g, n = F.primitive_element_raw(), F.order - 1
+    assert exp[0] == 1 and sorted(exp[:n]) == list(range(1, F.order))
     rng = random.Random(F.order)
-    for i in rng.sample(range(n), min(n, 300)):
-        assert exp[i] == F._pow_square_mult(g, i) and log[exp[i]] == i
+    steps = range(n) if n <= 4096 else rng.sample(range(n), 2000)
+    for i in steps:
+        assert exp[i + 1] == schoolbook_product(F, exp[i], g) and log[exp[i]] == i
     for _ in range(300):
         a, b = rng.randrange(F.order), rng.randrange(F.order)
-        assert F.mul_raw(a, b) == F._polymul_raw(a, b)
+        assert F.mul_raw(a, b) == schoolbook_product(F, a, b)
+
+
+def smallest_irreducible_by_trial_division(p, k):
+    """The first monic f of degree k, low-degree-first order, that no monic
+    polynomial of degree 1 .. k/2 divides."""
+    def divides(g, f):
+        f = list(f)
+        while len(f) >= len(g):
+            c, shift = f.pop(), len(f) - len(g) + 1
+            for j in range(len(g) - 1):
+                f[shift + j] = (f[shift + j] - c * g[j]) % p
+        return not any(f)
+
+    for low in itertools.product(range(p), repeat=k):
+        f = [*low, 1]
+        if not any(divides([*h, 1], f) for d in range(1, k // 2 + 1)
+                   for h in itertools.product(range(p), repeat=d)):
+            return tuple(f)
+
+
+def test_modulus_search_matches_trial_division():
+    for p in filter(_is_prime, range(2, 1025)):
+        for k in range(1, 11):
+            if p**k <= 1024:
+                assert _smallest_irreducible(p, k) == smallest_irreducible_by_trial_division(p, k), (p, k)
+
+
+def pinned_fields():
+    small = [(p, k) for p in filter(_is_prime, range(2, 4097)) for k in range(1, 13) if p**k <= 4096]
+    return sorted(small + [(2, 16), (3, 10), (251, 2), (65521, 1)])
+
+
+def test_moduli_and_primitive_elements_are_pinned():
+    # digest of "p k modulus g" lines from the trial-division construction
+    # that preceded the matrix one; FiniteField bypasses make_field's cache
+    lines = []
+    for p, k in pinned_fields():
+        F = FiniteField(p, k, _smallest_irreducible(p, k))
+        lines.append(f"{p} {k} {' '.join(map(str, F.modulus))} {F.primitive_element_raw()}")
+    assert len(lines) == 608
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "64a36725058279c9a75f198e981767ac15bdb4cce2f124ba5e93480108c35917"
 
 
 @pytest.mark.parametrize("p, k, j", [(2, 4, 1), (2, 4, 2), (3, 3, 1), (3, 6, 2), (3, 6, 3)])

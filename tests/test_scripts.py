@@ -51,6 +51,8 @@ def test_time_kernels_smoke(capsys):
     times = result["median_us"]
     # every DC shape (stack kernel, list rref, whole engine), mask kernel on
     # GF(2) only, the screen where m is prime to q (not m = 8 over GF(2),
-    # GF(4)); two QC kernels on 11 (q, m) shapes, r = 1, 2; and the cold import
-    assert len(times) == 4 * 3 * 3 * 3 + 3 * 3 + (4 * 3 - 2) * 3 + 2 * 11 * 2 + 1
+    # GF(4)); two QC kernels on 11 (q, m) shapes, r = 1, 2; the cold import;
+    # and the cold construction of five fields
+    assert len(times) == 4 * 3 * 3 * 3 + 3 * 3 + (4 * 3 - 2) * 3 + 2 * 11 * 2 + 1 + 5
+    assert {f"field/{p}^{k}" for p, k in timer.COLD_FIELDS} <= times.keys()
     assert all(t > 0 for t in times.values())
