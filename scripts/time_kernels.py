@@ -23,8 +23,12 @@ benchmark's set-up does; each also reads its VmRSS from /proc/self/status
 got loaded.  The ``field`` entries time the cold construction of GF(2^11),
 GF(2^16), GF(3^10), GF(251^2) and GF(65521), modulus search and tables,
 as ``FiniteField(p, k, _smallest_irreducible(p, k))``, past ``make_field``'s
-cache.  Prints one JSON line: the median wall time in microseconds of
---runs calls per kernel and shape, the import's footprint, nproc and the
+cache.  The ``enum`` entries time ``lincode.weight_distribution`` on seeded
+rows of a binary [60,20] code (bit masks), a binary [70,16] code (raw
+codes, past the 64-bit mask), a ternary [24,12] and a GF(9) [12,6] code,
+and take the tracemalloc peak of one more call each.  Prints one JSON
+line: the median wall time in microseconds of --runs calls per kernel and
+shape, the enumeration peaks in kB, the import's footprint, nproc and the
 Python and numpy versions.
 """
 import argparse
@@ -36,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -43,7 +48,7 @@ import qccd
 from qccd import QcCode, constituents, from_constituents, make_field
 from qccd.construct import _dc_screen
 from qccd.field import FiniteField, _smallest_irreducible
-from qccd.lincode import _reduce_gf2_stack, _reduce_stack, bz_min_distance, rref
+from qccd.lincode import _reduce_gf2_stack, _reduce_stack, bz_min_distance, rref, weight_distribution
 from qccd.polyring import Poly
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2)}
@@ -52,6 +57,7 @@ BATCHES = (1, 16, 128)
 QC_SHAPES = [(q, m) for q in FIELDS for m in (3, 5, 7) if m % FIELDS[q][0]] + [(2, 21)]
 QC_CODES = 8
 COLD_FIELDS = [(2, 11), (2, 16), (3, 10), (251, 2), (65521, 1)]
+ENUM_SHAPES = [(2, 60, 20), (2, 70, 16), (3, 24, 12), (9, 12, 6)]  # (q, n, k)
 
 
 def dc_stack(rng: random.Random, q: int, m: int, batch: int) -> np.ndarray:
@@ -113,6 +119,16 @@ def median_us(call, runs: int) -> float:
     return round(1e6 * statistics.median(times), 1)
 
 
+def peak_kb(call) -> int:
+    """The tracemalloc peak of one call, in kB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] // 1024
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=1)
@@ -156,6 +172,13 @@ def main(argv=None):
                 lambda: [C.expand() for C in codes], args.runs)
             times[f"from_constituents/{shape}"] = median_us(
                 lambda: [from_constituents(cs) for cs in parts], args.runs)
+    peaks = {}
+    for q, n, k in ENUM_SHAPES:
+        field = make_field(*FIELDS[q])
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        shape = f"enum/q{q}/n{n}/k{k}"
+        times[shape] = median_us(lambda: weight_distribution(field, rows, n), args.runs)
+        peaks[shape] = peak_kb(lambda: weight_distribution(field, rows, n))
     print(json.dumps({
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
@@ -163,6 +186,7 @@ def main(argv=None):
         "seed": args.seed,
         "runs": args.runs,
         "import": footprint,
+        "enum_peak_kb": peaks,
         "median_us": times,
     }))
     return 0

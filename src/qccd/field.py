@@ -37,19 +37,6 @@ from .errors import (
 MAX_FIELD_ORDER = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -267,7 +254,7 @@ class FiniteField:
             raise DivisionByZero("zero has no multiplicative order")
         n = self.order - 1
         o = n
-        for f in _prime_factors(n) if n > 1 else []:
+        for f in _prime_factors(n):
             while o % f == 0 and self.pow_raw(a, o // f) == 1:
                 o //= f
         return o
@@ -445,7 +432,7 @@ class FieldElement:
 @lru_cache(maxsize=None)
 def make_field(p: int, k: int) -> FiniteField:
     """GF(p^k) with the lexicographically smallest monic irreducible modulus."""
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise NonPrimeCharacteristic(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")

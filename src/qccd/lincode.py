@@ -19,13 +19,15 @@ information sets is one masked elimination of every code still taking a
 set, and the rows of each new set lower its code's lightest word at once.
 Codes with k > n - k enumerate their dual.
 
-Enumeration (``weight_distribution``) is projective: scalar multiples of a
-codeword share its weight, so one codeword per class of nonzero scalar
-multiples is visited and counted q - 1 times, which divides the work by
-q - 1.  Each row adds its scalar multiples to the span built so far in one
-broadcast vector add.  A code is always spanned over its own field; a
-constituent of a quasi-cyclic code is first taken into its own subfield
-(``qc._own_field``).
+Both engines share one word layout (``_words``): binary codes of length
+n <= 64 as uint64 bit masks, all others as raw codes; and one source of
+scalar multiples (``_multiples``).  Enumeration (``weight_distribution``)
+is projective: scalar multiples of a codeword share its weight, so past
+the span of the last rows, built whole and counted once, one codeword per
+class of nonzero scalar multiples is visited, in blocks of about
+``_CHUNK``, and counted q - 1 times.  A code is always spanned over its own
+field; a constituent of a quasi-cyclic code is first taken into its own
+subfield (``qc._own_field``).
 """
 from __future__ import annotations
 
@@ -255,13 +257,16 @@ def _vadd(field: FiniteField, A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _span_weights_gf2(masks) -> np.ndarray:
-    """Popcounts of all 2^k XOR combinations of the bit masks, one per
-    coefficient vector (the empty combination first)."""
-    arr = np.zeros(1, dtype=np.int64)
-    for w in masks:
-        arr = np.concatenate([arr, np.bitwise_xor(arr, np.int64(w))])
-    return np.bitwise_count(arr)
+def _words(field: FiniteField, stack):
+    """The one layout of codewords, for both engines: (words, weigh).  Binary
+    rows of length n <= MAX_LENGTH become uint64 bit masks (the last axis
+    packed away), weighed by popcount; every other code stays int64 raw
+    codes, weighed by its nonzero entries along the last axis."""
+    G = np.asarray(stack, dtype=np.int64)
+    if field.order == 2 and G.shape[-1] <= MAX_LENGTH:
+        # bit 63 is -2^63 in int64: no sum of distinct bits overflows, and uint64 reads it as 2^63
+        return (G @ (1 << np.arange(G.shape[-1]))).view(np.uint64), np.bitwise_count
+    return G, lambda words: np.add.reduce(words != 0, axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -285,14 +290,6 @@ def _vmul(field: FiniteField, A: np.ndarray, B: np.ndarray, e: int = 1) -> np.nd
     if e == 1:
         return EXP[LOG[A] + LOG[B]]
     return np.where(B == 0, 0, EXP[LOG[A] + LOG[B] * e % (field.order - 1)])
-
-
-def _row_multiples(field: FiniteField, R: np.ndarray) -> np.ndarray:
-    """s * R for every field element s on a new first axis.  Scalars vary
-    fastest in memory: spans built from them inherit it and enumerate ~1.4x
-    faster."""
-    s = np.arange(field.order, dtype=np.int64)
-    return np.moveaxis(_vmul(field, s, R[..., None]), -1, 0)
 
 
 def _gram(field: FiniteField, stack, e: int = 1, other=None) -> np.ndarray:
@@ -379,8 +376,8 @@ def _reduce_gf2_stack(masks, cols) -> tuple[np.ndarray, np.ndarray]:
     """``_reduce_gf2`` of each row of a (B, k) stack of bit masks, one numpy
     step per row, inside the mask cols, one int for the whole stack or a
     (B,) array: the reduced stack and the (B, k) pivot bits, 0 for a row
-    with no bit inside cols at its turn."""
-    g = np.array(masks, dtype=np.int64)
+    with no bit inside cols at its turn, all uint64, so bit 63 is a column."""
+    g, cols = np.array(masks, dtype=np.uint64), np.asarray(cols, dtype=np.uint64)
     bits = np.zeros_like(g)
     for r in range(g.shape[1]):
         row, low = g[:, r].copy(), g[:, r] & cols
@@ -420,8 +417,12 @@ def _multiples(field: FiniteField, mats) -> np.ndarray:
     """mults[j, s - 1] = s * mats[j] for every nonzero scalar s, in the
     narrowest unsigned type that holds the sum of two raw codes, so the
     row sums built from it are a fraction of the int64 size.  Built about
-    ``_SUMS`` entries at a time: no int64 temporary of the whole."""
-    mats = np.array(mats, dtype=np.min_scalar_type(2 * field.order - 2))
+    ``_SUMS`` entries at a time: no int64 temporary of the whole.  Bit masks
+    (``_words``) are their own only multiple."""
+    mats = np.asarray(mats)
+    if mats.dtype == np.uint64:
+        return mats[:, None]
+    mats = mats.astype(np.min_scalar_type(2 * field.order - 2))
     scalars = np.arange(1, field.order)[:, None, None]
     mults = np.empty((len(mats), field.order - 1, *mats.shape[1:]), dtype=mats.dtype)
     step = max(1, _SUMS // max(1, mults[0].size))
@@ -459,16 +460,13 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
     entry is an upper bound on its distance that beats neither it nor the
     floor, and the largest entry is at most the floor otherwise.  A dropped
     code's lightest word is not its distance, so it never counts as done.
-    Binary codes with n <= 63 run on int64 bit masks (XOR, popcount);
-    other row sums run in the narrow type of ``_multiples``.
+    Words take the layout of ``_words`` (uint64 bit masks for binary codes
+    of length n <= 64), row sums of raw codes the type of ``_multiples``.
     """
     G = np.asarray(stack, dtype=np.int64)
     codes, k, n = G.shape
-    packed = field.order == 2 and n <= 63
-    if packed:
-        G, weigh = G @ (1 << np.arange(n, dtype=np.int64)), np.bitwise_count
-    else:
-        weigh = lambda words: np.add.reduce(words != 0, axis=-1)  # noqa: E731
+    G, weigh = _words(field, G)
+    packed = G.dtype == np.uint64
     best = weigh(G).min(axis=1).astype(np.int64)
     mats, owner, ranks = [G], list(range(codes)), [[k] for _ in range(codes)]
     full = (1 << n) - 1
@@ -498,7 +496,7 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
             reduced, new = [g], [sum(1 << c for c in piv)]
         else:
             if packed:
-                reduced, bits = _reduce_gf2_stack(G[live], np.array(free))
+                reduced, bits = _reduce_gf2_stack(G[live], free)
                 new = bits.sum(axis=1).tolist()
             else:
                 bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
@@ -511,12 +509,12 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
             ranks[live[i]].append(new[i].bit_count())
             used[live[i]] |= new[i]
         live = [live[i] for i in took]
-        mats.append(np.asarray(reduced)[took])
+        mats.append(np.asarray(reduced, dtype=G.dtype)[took])
         owner += live
     ranks = np.array(list(itertools.zip_longest(*ranks, fillvalue=0))).T  # 0: no set
     owner = np.array(owner)
     mats = np.concatenate(mats)
-    mults = mats[:, None] if packed or k == 1 else _multiples(field, mats)  # k = 1: no row sums
+    mults = mats[:, None] if k == 1 else _multiples(field, mats)  # k = 1: no row sums
     bounds = _bz_bound(ranks, k, np.arange(1, k + 1)[:, None])  # (w, code)
     dropped = np.zeros(codes, dtype=bool)
     for w in range(1, k + 1):
@@ -535,21 +533,18 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
     return best
 
 
-def _weight_counts(W: np.ndarray, n: int) -> np.ndarray:
-    return np.bincount(np.count_nonzero(W, axis=1), minlength=n + 1)
-
-
 def weight_distribution(field: FiniteField, rows, n: int) -> np.ndarray:
     """Hamming weight distribution of the span of rows over the field.
     Exact integer counts, one per coefficient vector, so dependent and zero
     rows count with multiplicity.
 
-    lambda*c has the weight of c for every nonzero scalar lambda.  A nonzero
-    coefficient vector with first nonzero entry at row i is
-    lambda*(rows[i] + span(rows[i+1:])) for one lambda, so each of those
-    words is enumerated once and counted q - 1 times.
+    The span of the last rows (the base, at most ``_CHUNK`` words) is built
+    whole and counted once.  A coefficient vector whose first nonzero entry
+    is at row i before the base gives lambda*(rows[i] + span(rows[i+1:]))
+    for one nonzero lambda, of the weight of rows[i] + span(rows[i+1:]), so
+    those words are enumerated once, in blocks of about ``_CHUNK``, and
+    counted q - 1 times.
     """
-    rows = [list(r) for r in rows]
     k = len(rows)
     dist = np.zeros(n + 1, dtype=np.int64)
     if k == 0:
@@ -558,43 +553,29 @@ def weight_distribution(field: FiniteField, rows, n: int) -> np.ndarray:
     q = field.order
     if q**k > ENUM_CAP:
         raise TooLargeToEnumerate(f"{q}^{k} codewords exceed the enumeration cap")
-
-    if q == 2 and n <= 62:
-        packed = [sum(1 << j for j, x in enumerate(r) if x) for r in rows]
-        return np.bincount(_span_weights_gf2(packed), minlength=n + 1).astype(np.int64)
-
-    # scalar multiples of every row, mults[:, i] a (q, n) array
-    R = np.array(rows, dtype=np.int64)
-    mults = _row_multiples(field, R)
+    words, weigh = _words(field, rows)
+    mults = _multiples(field, words[None])[0]  # mults[s - 1, i] = s * rows[i]
 
     def spanned(i, span):
-        # span(rows[i:]) from span(rows[i+1:]): one broadcast add
-        return _vadd(field, mults[:, i, None, :], span[None, :, :]).reshape(-1, n)
+        # span(rows[i:]) from span(rows[i+1:]): it, and one broadcast add of the multiples of row i
+        return np.concatenate([span, _vadd(field, mults[:, i, None], span).reshape(-1, *span.shape[1:])])
 
-    # the last j rows are spanned inside one array (the base); each row
-    # before them leads a set of offsets, each added to the whole base
-    j = 0
-    while j < k and q ** (j + 1) <= _CHUNK:
-        j += 1
-    split = k - j
-    base = np.zeros((1, n), dtype=np.int64)
+    def count(W):
+        return np.bincount(weigh(W).ravel(), minlength=n + 1)
+
+    split = k - next(j for j in range(k, -1, -1) if q**j <= _CHUNK)
+    base = np.zeros_like(mults[0, :1])
     for i in range(k - 1, split - 1, -1):
-        dist += _weight_counts(_vadd(field, base, R[i]), n)
-        if i:
-            base = spanned(i, base)
+        base = spanned(i, base)
+    dist += count(base)
 
-    span = np.zeros((1, n), dtype=np.int64)
-    block = max(1, _CHUNK // len(base))
+    span, block = np.zeros_like(base[:1]), max(1, _CHUNK // len(base))
     for i in range(split - 1, -1, -1):
-        offsets = _vadd(field, span, R[i])
+        offsets = _vadd(field, span, mults[0, i])
         for b in range(0, len(offsets), block):
-            W = _vadd(field, offsets[b:b + block, None, :], base[None, :, :])
-            dist += _weight_counts(W.reshape(-1, n), n)
+            dist += (q - 1) * count(_vadd(field, offsets[b:b + block, None], base))
         if i:
             span = spanned(i, span)
-
-    dist *= q - 1
-    dist[0] += 1
     return dist
 
 

@@ -30,7 +30,7 @@ from qccd.errors import (
     TooLargeToEnumerate,
 )
 from qccd.field import FieldElement, field_from_order, make_field
-from qccd.lincode import LinearCode, _span_weights_gf2, bz_min_distance, min_weight
+from qccd.lincode import LinearCode, bz_min_distance, min_weight
 from qccd.polyring import Poly, poly_gcd, xm_minus_one
 
 F2 = make_field(2, 1)
@@ -256,6 +256,15 @@ def test_gf2_fast_distance_agrees():
         for serial in range(2**m):
             a = cc._serial_to_coeffs(serial, 2, m)
             assert _dc_distance(F2, m, a) == _expanded_distance(F2, m, a)
+
+
+def _span_weights_gf2(masks) -> np.ndarray:
+    """Popcounts of all 2^k XOR combinations of the bit masks, one per
+    coefficient vector (the empty combination first)."""
+    arr = np.zeros(1, dtype=np.int64)
+    for w in masks:
+        arr = np.concatenate([arr, np.bitwise_xor(arr, np.int64(w))])
+    return np.bitwise_count(arr)
 
 
 def _full_distance_gf2(a, m):

@@ -17,7 +17,6 @@ from qccd.errors import (
 from qccd.field import (
     FieldElement,
     FiniteField,
-    _is_prime,
     _smallest_irreducible,
     field_from_order,
     frobenius,
@@ -195,6 +194,10 @@ def test_tables_match_polynomial_products(p, k):
         assert F.mul_raw(a, b) == schoolbook_product(F, a, b)
 
 
+def is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
 def smallest_irreducible_by_trial_division(p, k):
     """The first monic f of degree k, low-degree-first order, that no monic
     polynomial of degree 1 .. k/2 divides."""
@@ -214,14 +217,14 @@ def smallest_irreducible_by_trial_division(p, k):
 
 
 def test_modulus_search_matches_trial_division():
-    for p in filter(_is_prime, range(2, 1025)):
+    for p in filter(is_prime, range(2, 1025)):
         for k in range(1, 11):
             if p**k <= 1024:
                 assert _smallest_irreducible(p, k) == smallest_irreducible_by_trial_division(p, k), (p, k)
 
 
 def pinned_fields():
-    small = [(p, k) for p in filter(_is_prime, range(2, 4097)) for k in range(1, 13) if p**k <= 4096]
+    small = [(p, k) for p in filter(is_prime, range(2, 4097)) for k in range(1, 13) if p**k <= 4096]
     return sorted(small + [(2, 16), (3, 10), (251, 2), (65521, 1)])
 
 

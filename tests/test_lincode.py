@@ -311,6 +311,37 @@ def test_generic_gf2_path_matches_bruteforce():
     assert list(got) == brute_weights(F2, rows, 70)
 
 
+def test_binary_enumeration_memory_is_chunked():
+    # 2^20 words of a [50,20] code are counted in blocks, never held at once
+    import tracemalloc
+
+    rng = random.Random(50)
+    rows = [[rng.randrange(2) for _ in range(50)] for _ in range(20)]
+    tracemalloc.start()
+    try:
+        got = weight_distribution(F2, rows, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(got.sum()) == 2**20
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("n,k", [(12, 4), (40, 9), (64, 10)])
+def test_bit_masks_and_raw_codes_agree(n, k):
+    # the same rows as bit masks (n <= 64) and, padded with zero columns to
+    # n = 70, as raw codes: one weight distribution, one minimum distance
+    rng = random.Random(n * k)
+    C = random_code(rng, F2, n, k)
+    padded = [list(r) + [0] * (70 - n) for r in C.rows]
+    assert lc._words(F2, C.rows)[0].dtype == np.uint64 and lc._words(F2, padded)[0].dtype == np.int64
+    masks, raw = weight_distribution(F2, C.rows, n), weight_distribution(F2, padded, 70)
+    assert raw.tolist() == masks.tolist() + [0] * (70 - n)
+    assert (lc.bz_min_distance(F2, [C.rows], C.pivot_cols)[0]
+            == lc.bz_min_distance(F2, [padded], C.pivot_cols)[0]
+            == min(i for i in range(1, n + 1) if masks[i]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([F2, F3, F4, F5]),
@@ -338,14 +369,16 @@ MULT_IDS = [f"field{i}-None" for i in range(len(MULT_FIELDS))]  # None: every fi
 
 @pytest.mark.parametrize("field", MULT_FIELDS, ids=MULT_IDS)
 def test_row_multiples_match_mul_raw(field):
+    # every nonzero multiple, in a type that holds the sum of two raw codes
     rng = random.Random(field.order)
-    for shape in ((3, 5), (2, 3, 4)):
+    for shape in ((3, 1, 5), (2, 3, 4)):
         R = np.array([rng.randrange(field.order) for _ in range(np.prod(shape))]).reshape(shape)
         R.flat[0] = 0
-        got = lc._row_multiples(field, R)
-        assert got.shape == (field.order,) + shape
-        for s, M in enumerate(got):
-            assert M.ravel().tolist() == [field.mul_raw(s, x) for x in R.ravel().tolist()]
+        got = lc._multiples(field, R)
+        assert got.shape == (shape[0], field.order - 1) + shape[1:]
+        assert np.iinfo(got.dtype).max >= 2 * field.order - 2
+        for s in range(1, field.order):
+            assert got[:, s - 1].ravel().tolist() == [field.mul_raw(s, x) for x in R.ravel().tolist()]
 
 
 def reference_rref(field, rows):
@@ -433,7 +466,7 @@ def test_reduce_stack_pivots_inside_cols(field):
 
 
 @pytest.mark.parametrize("field,k,n", [
-    (F2, 5, 12), (F3, 4, 9), (F3, 4, 64), (F4, 3, 10), (F9, 3, 7),
+    (F2, 5, 12), (F3, 4, 9), (F3, 4, 64), (F4, 3, 10), (F9, 3, 7), (F2, 5, 64),
 ])
 def test_reduce_stack_with_a_mask_per_matrix(field, k, n):
     # every matrix of a stack reduces inside its own mask (empty, full or
@@ -449,14 +482,18 @@ def test_reduce_stack_with_a_mask_per_matrix(field, k, n):
     # no free column: no pivot and the matrix as it was
     assert (pivots[0] == -1).all() and R[0].tolist() == stack[0].tolist()
     assert (pivots[1] >= 0).any()
-    if field.order == 2 and n <= 63:
-        masks = stack @ (1 << np.arange(n))
-        cols = free @ (1 << np.arange(n))
-        reduced, bits = lc._reduce_gf2_stack(masks, cols)
-        for row_masks, col_mask, g, b in zip(masks.tolist(), cols.tolist(),
-                                             reduced.tolist(), bits.tolist()):
-            want, want_piv = lc._reduce_gf2(row_masks, col_mask)
-            assert g == want and [1 << c for c in want_piv] == [x for x in b if x]
+    if field.order == 2:
+        # on uint64 bit masks, inside each matrix's mask and then inside the
+        # last column alone (bit 63 at n = 64)
+        bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
+        masks = stack.astype(np.uint64) @ bit
+        for cols in (free.astype(np.uint64) @ bit, bit[-1]):
+            reduced, bits = lc._reduce_gf2_stack(masks, cols)
+            for row_masks, col_mask, g, b in zip(masks.tolist(), np.broadcast_to(cols, 12).tolist(),
+                                                 reduced.tolist(), bits.tolist()):
+                want, want_piv = lc._reduce_gf2(row_masks, col_mask)
+                assert g == want and [1 << c for c in want_piv] == [x for x in b if x]
+        assert (bits == bit[-1]).any()
     if n == 64:
         # the engine's free masks of length 64 reach bit 63 without overflow
         codes = [systematic(field, [[rng.randrange(field.order) for _ in range(n - k)]
@@ -569,9 +606,9 @@ def test_bz_engine_whole_space(field):
         assert d == 1 == min_weight(field, rows, n)
 
 
-@pytest.mark.parametrize("n,packed", [(63, True), (64, False)])
+@pytest.mark.parametrize("n,packed", [(64, True), (65, False)])
 def test_bz_engine_binary_mask_width(monkeypatch, n, packed):
-    # 63 columns fit an int64 bit mask; length 64 runs on raw codes
+    # 64 columns fit a uint64 bit mask; length 65 runs on raw codes
     calls, reduce_gf2 = [], lc._reduce_gf2
     monkeypatch.setattr(lc, "_reduce_gf2", lambda *args: calls.append(1) or reduce_gf2(*args))
     rng = random.Random(n)

@@ -52,7 +52,11 @@ def test_time_kernels_smoke(capsys):
     # every DC shape (stack kernel, list rref, whole engine), mask kernel on
     # GF(2) only, the screen where m is prime to q (not m = 8 over GF(2),
     # GF(4)); two QC kernels on 11 (q, m) shapes, r = 1, 2; the cold import;
-    # and the cold construction of five fields
-    assert len(times) == 4 * 3 * 3 * 3 + 3 * 3 + (4 * 3 - 2) * 3 + 2 * 11 * 2 + 1 + 5
+    # the cold construction of five fields; and four enumerations, each with
+    # its tracemalloc peak
+    assert len(times) == 4 * 3 * 3 * 3 + 3 * 3 + (4 * 3 - 2) * 3 + 2 * 11 * 2 + 1 + 5 + 4
     assert {f"field/{p}^{k}" for p, k in timer.COLD_FIELDS} <= times.keys()
+    enum = {f"enum/q{q}/n{n}/k{k}" for q, n, k in timer.ENUM_SHAPES}
+    assert enum <= times.keys() and result["enum_peak_kb"].keys() == enum
+    assert all(kb > 0 for kb in result["enum_peak_kb"].values())
     assert all(t > 0 for t in times.values())
