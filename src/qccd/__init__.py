@@ -1,7 +1,7 @@
 """Construction and certification of complementary-dual cyclic and
 quasi-cyclic codes over finite fields."""
 
-from .field import FieldElement, FiniteField, field_from_order, make_field, root_of_unity
+from .field import FiniteField, field_from_order, make_field, root_of_unity
 from .polyring import FactorProfile, Poly, cyclotomic_cosets, factor_xm_minus_1, poly_gcd
 from .lincode import LinearCode
 from .cyclic import (
@@ -38,7 +38,6 @@ from .construct import (
 )
 
 __all__ = [
-    "FieldElement",
     "FiniteField",
     "field_from_order",
     "make_field",

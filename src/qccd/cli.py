@@ -270,7 +270,7 @@ def cmd_descend(args):
         "Q": Q,
         "q": args.q,
         "ell": ell,
-        "basis": [b.raw for b in B.basis],
+        "basis": list(B.basis),
         "input_params": {"n": C.n, "k": C.k, "d": _try_distance(C) if C.k else None},
         "params": {"n": out.n, "k": out.k, "d": _try_distance(out) if out.k else None},
         "code": io.format_code(out),

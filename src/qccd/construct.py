@@ -21,7 +21,7 @@ from .errors import (
     SearchExhausted,
     TooLargeToEnumerate,
 )
-from .field import FieldElement, FiniteField, field_from_order, make_field
+from .field import FiniteField, field_from_order, make_field
 from .lincode import _CHUNK, ENUM_CAP, LinearCode, _gram, _vadd, bz_min_distance
 from .polyring import Poly, cyclotomic_cosets, poly_gcd, xm_minus_one
 from .qc import QcCode
@@ -40,16 +40,16 @@ _ORBIT_BATCH = 256  # unseen serials taken at once by _dc_orbits
 # Hermitian LCD extension  [I:P] -> [I:P:P] or [I:P:aP]
 # ---------------------------------------------------------------------------
 
-def find_a(field: FiniteField) -> FieldElement:
+def find_a(field: FiniteField) -> int:
     """First element a (canonical enumeration) with a^(s+1) = -1, where the
-    field order is s^2 with s odd."""
+    field order is s^2 with s odd, as a raw code."""
     if field.p == 2:
         raise EvenCharacteristic("a^(s+1) = -1 is only needed in odd characteristic")
     s = field.conj_exp
     minus_one = field.neg_raw(1)
     for a in range(field.order):
         if field.pow_raw(a, s + 1) == minus_one:
-            return FieldElement(field, a)
+            return a
     raise SearchExhausted("no element with a^(s+1) = -1 found")  # unreachable
 
 
@@ -66,7 +66,7 @@ def hermitian_lcd_extend(Ct: LinearCode) -> LinearCode:
     if F.p == 2:
         tail = P
     else:
-        a = find_a(F).raw
+        a = find_a(F)
         tail = [[F.mul_raw(a, x) for x in row] for row in P]
     rows = [list(Ct.rows[i]) + list(tail[i]) for i in range(k)]
     return LinearCode.from_rows(F, 2 * ell - k, rows)
@@ -357,20 +357,21 @@ def dc_search(
 class SelfDualBasis:
     big: FiniteField
     sub: FiniteField
-    basis: tuple[FieldElement, ...]
+    basis: tuple[int, ...]  # raw codes of big
 
     def __post_init__(self):
         big, sub = self.big, self.sub
         for i, bi in enumerate(self.basis):
             for j, bj in enumerate(self.basis):
-                t = big.trace_raw(big.mul_raw(bi.raw, bj.raw), sub)
+                t = big.trace_raw(big.mul_raw(bi, bj), sub)
                 if t != (1 if i == j else 0):
                     raise AssertionError("trace Gram matrix is not the identity")
 
-    def coordinates(self, x: FieldElement) -> list[int]:
-        """Coordinates of x relative to the basis, as raw codes of sub."""
+    def coordinates(self, x: int) -> list[int]:
+        """Coordinates of x, a raw code of big, relative to the basis, as raw
+        codes of sub."""
         big, sub = self.big, self.sub
-        return [big.trace_raw(big.mul_raw(x.raw, b.raw), sub) for b in self.basis]
+        return [big.trace_raw(big.mul_raw(x, b), sub) for b in self.basis]
 
 
 def self_dual_basis(q: int, ell: int) -> SelfDualBasis:
@@ -391,7 +392,7 @@ def self_dual_basis(q: int, ell: int) -> SelfDualBasis:
     for alpha in unit_norm:
         if all(tr[big.pow_raw(alpha, 1 + q**d)] == 0 for d in range(1, ell)):
             basis = [big.pow_raw(alpha, q**i) for i in range(ell)]
-            return SelfDualBasis(big, sub, tuple(FieldElement(big, b) for b in basis))
+            return SelfDualBasis(big, sub, tuple(basis))
 
     # 2) DFS over orthonormal sets in canonical element order
     def dfs(chosen: list[int], rest: list[int]):
@@ -409,7 +410,7 @@ def self_dual_basis(q: int, ell: int) -> SelfDualBasis:
         raise SearchExhausted(
             f"no self-dual basis of GF({q}^{ell}) over GF({q}) found by search"
         )
-    return SelfDualBasis(big, sub, tuple(FieldElement(big, b) for b in found))
+    return SelfDualBasis(big, sub, tuple(found))
 
 
 def expand_subfield(C: LinearCode, B: SelfDualBasis) -> LinearCode:
@@ -418,14 +419,10 @@ def expand_subfield(C: LinearCode, B: SelfDualBasis) -> LinearCode:
     so the result is the full subfield-linear image of C."""
     if C.field is not B.big:
         raise BasisFieldMismatch(f"code over {C.field}, basis for {B.big}")
-    big, sub = B.big, B.sub
-    rows = []
-    for row in C.rows:
-        for beta in B.basis:
-            scaled = [big.mul_raw(beta.raw, x) for x in row]
-            rows.append([big.trace_raw(big.mul_raw(z, b.raw), sub)
-                         for z in scaled for b in B.basis])
-    result = LinearCode.from_rows(sub, C.n * len(B.basis), rows)
+    big = B.big
+    rows = [[c for x in row for c in B.coordinates(big.mul_raw(beta, x))]
+            for row in C.rows for beta in B.basis]
+    result = LinearCode.from_rows(B.sub, C.n * len(B.basis), rows)
     if result.k != C.k * len(B.basis):
         raise AssertionError("subfield image has unexpected dimension")
     return result

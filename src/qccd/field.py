@@ -1,10 +1,11 @@
-"""Exact arithmetic in GF(p^k): field contexts, elements, Frobenius, trace,
-subfield embeddings and roots of unity.
+"""Exact arithmetic in GF(p^k): field contexts, Frobenius, trace, subfield
+embeddings and roots of unity.
 
-Elements are stored in polynomial-basis representation, encoded as an
-integer in [0, p^k): the base-p digits are the coefficients, low digit =
-constant coefficient.  All field contexts are interned singletons, so the
-choice of modulus and primitive element is bit-reproducible across runs.
+An element is its raw code, an integer in [0, p^k) in polynomial-basis
+representation: the base-p digits are the coefficients, low digit =
+constant coefficient.  The field's ``*_raw`` methods are its arithmetic.
+All field contexts are interned singletons, so the choice of modulus and
+primitive element is bit-reproducible across runs.
 
 Fields have order at most 2^16.  Each is built from X, the k x k matrix
 over GF(p) of multiplication by x on digit rows: the modulus passes
@@ -26,7 +27,6 @@ import numpy as np
 from .errors import (
     CharacteristicDividesM,
     DivisionByZero,
-    FieldMismatch,
     FieldTooLarge,
     NonPrimeCharacteristic,
     NotASubfield,
@@ -259,20 +259,6 @@ class FiniteField:
                 o //= f
         return o
 
-    # -- elements ----------------------------------------------------------
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def element(self, raw: int) -> "FieldElement":
-        if not 0 <= raw < self.order:
-            raise ValueError(f"element code {raw} out of range for {self}")
-        return FieldElement(self, raw)
-
     # -- subfield machinery ------------------------------------------------
     def is_subfield(self, sub: "FiniteField") -> bool:
         return sub.p == self.p and self.k % sub.k == 0
@@ -348,83 +334,6 @@ class FiniteField:
         return self.trace_table(sub)[a]
 
 
-class FieldElement:
-    """Immutable element of a FiniteField."""
-
-    __slots__ = ("field", "raw")
-
-    def __init__(self, field: FiniteField, raw: int):
-        self.field = field
-        self.raw = raw
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, int):
-            # small integers embed via the prime subfield
-            return FieldElement(self.field, other % self.field.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.add_raw(self.raw, other.raw))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.sub_raw(self.raw, other.raw))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg_raw(self.raw))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.mul_raw(self.raw, other.raw))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.mul_raw(self.raw, self.field.inv_raw(other.raw)))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return FieldElement(self.field, self.field.pow_raw(self.field.inv_raw(self.raw), -e))
-        return FieldElement(self.field, self.field.pow_raw(self.raw, e))
-
-    def frobenius(self, j: int) -> "FieldElement":
-        if j < 0:
-            raise ValueError("Frobenius power must be nonnegative")
-        return FieldElement(self.field, self.field.frobenius_raw(self.raw, j))
-
-    def conjugate(self) -> "FieldElement":
-        """x -> x^sqrt(Q); requires a square-order field."""
-        return self ** self.field.conj_exp
-
-    def multiplicative_order(self) -> int:
-        return self.field.multiplicative_order_raw(self.raw)
-
-    @property
-    def coeffs(self) -> list[int]:
-        return self.field.to_digits(self.raw)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.raw == other.raw
-        if isinstance(other, int):
-            return self.raw == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.raw))
-
-    def __repr__(self):
-        return f"{self.field}({self.raw})"
-
-
 # ---------------------------------------------------------------------------
 # public constructors
 # ---------------------------------------------------------------------------
@@ -459,23 +368,15 @@ def field_from_order(q: int) -> FiniteField:
     return make_field(p, k)
 
 
-def frobenius(x: FieldElement, j: int) -> FieldElement:
-    return x.frobenius(j)
-
-
-def trace(x: FieldElement, sub: FiniteField) -> FieldElement:
-    return FieldElement(sub, x.field.trace_raw(x.raw, sub))
-
-
-def root_of_unity(F: FiniteField, m: int) -> tuple[FiniteField, FieldElement]:
-    """Splitting field of x^m - 1 over F and a canonical primitive m-th root
-    of unity in it."""
+def root_of_unity(F: FiniteField, m: int) -> tuple[FiniteField, int]:
+    """Splitting field S of x^m - 1 over F and a canonical primitive m-th
+    root of unity in it, as a raw code of S."""
     if m < 1:
         raise ValueError("m must be positive")
     if math.gcd(m, F.p) != 1:
         raise CharacteristicDividesM(f"characteristic {F.p} divides m={m}")
     if m == 1:
-        return F, F.one
+        return F, 1
     # s = multiplicative order of |F| mod m
     s = 1
     acc = F.order % m
@@ -484,5 +385,4 @@ def root_of_unity(F: FiniteField, m: int) -> tuple[FiniteField, FieldElement]:
         s += 1
     splitting = make_field(F.p, F.k * s)
     g = splitting.primitive_element_raw()
-    xi = splitting.pow_raw(g, (splitting.order - 1) // m)
-    return splitting, FieldElement(splitting, xi)
+    return splitting, splitting.pow_raw(g, (splitting.order - 1) // m)

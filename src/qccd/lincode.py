@@ -81,14 +81,12 @@ def rref(field: FiniteField, rows) -> tuple[list[list[int]], list[int]]:
 class LinearCode:
     """[n, k] linear code with a canonical RREF generator matrix."""
 
-    def __init__(self, field: FiniteField, n: int, rows, pivot_cols=None):
+    def __init__(self, field: FiniteField, n: int, rows, pivot_cols):
         # rows must already be canonical RREF; use from_rows otherwise
         self.field = field
         self.n = n
         self.rows = tuple(tuple(r) for r in rows)
         self.k = len(self.rows)
-        if pivot_cols is None:
-            pivot_cols = [next(j for j, x in enumerate(r) if x) for r in self.rows]
         self.pivot_cols = tuple(pivot_cols)
 
     @classmethod
@@ -499,10 +497,13 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
                 reduced, bits = _reduce_gf2_stack(G[live], free)
                 new = bits.sum(axis=1).tolist()
             else:
-                bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
-                free = np.array(free, dtype=np.uint64)[:, None] & bit != 0
+                width = n // 8 + 1  # bytes of an n-bit mask, whatever n is
+                free = b"".join(f.to_bytes(width, "little") for f in free)
+                free = np.unpackbits(np.frombuffer(free, np.uint8).reshape(-1, width), axis=1,
+                                     count=n, bitorder="little").view(bool)
                 reduced, piv = _reduce_stack(field, G[live], free)
-                new = np.where(piv >= 0, bit[piv], 0).sum(axis=1).tolist()
+                bit = np.append(1 << np.arange(n, dtype=object), 0)  # bit[-1]: no pivot
+                new = bit[piv].sum(axis=1).tolist()
             best[live] = np.minimum(best[live], weigh(reduced).min(axis=1))
         took = [i for i, got in enumerate(new) if got]
         for i in took:

@@ -17,7 +17,7 @@ from .errors import (
     NotCoprime,
     ZeroConstantTerm,
 )
-from .field import FieldElement, FiniteField, root_of_unity
+from .field import FiniteField, root_of_unity
 
 
 class Poly:
@@ -63,16 +63,6 @@ class Poly:
         F = self.field
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(F, [F.add_raw(self.coeff(i), other.coeff(i)) for i in range(n)])
-
-    def __sub__(self, other):
-        self._check(other)
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(F, [F.sub_raw(self.coeff(i), other.coeff(i)) for i in range(n)])
-
-    def __neg__(self):
-        F = self.field
-        return Poly(F, [F.neg_raw(c) for c in self.coeffs])
 
     def __mul__(self, other):
         self._check(other)
@@ -125,9 +115,9 @@ class Poly:
         return (other % self).is_zero()
 
     # -- evaluation --------------------------------------------------------
-    def evaluate(self, point: FieldElement) -> FieldElement:
-        """Evaluate at a point in the coefficient field or any extension."""
-        E = point.field
+    def evaluate(self, E: FiniteField, x: int) -> int:
+        """Value at x, a raw code of E, which is the coefficient field or an
+        extension of it; the value is a raw code of E."""
         if E is self.field:
             coeffs = self.coeffs
         else:
@@ -137,8 +127,8 @@ class Poly:
             coeffs = [table[c] for c in self.coeffs]
         acc = 0
         for c in reversed(coeffs):
-            acc = E.add_raw(E.mul_raw(acc, point.raw), c)
-        return FieldElement(E, acc)
+            acc = E.add_raw(E.mul_raw(acc, x), c)
+        return acc
 
     # -- reciprocal / conjugate --------------------------------------------
     def reciprocal(self) -> "Poly":
@@ -256,7 +246,7 @@ class FactorProfile:
     self_recip: tuple[tuple[Poly, int], ...]      # (g_i, u_i)
     pairs: tuple[tuple[Poly, Poly, int], ...]     # (h_j, h_j^*, v_j)
     splitting: FiniteField
-    xi: FieldElement
+    xi: int  # raw code of splitting
 
     @property
     def s(self) -> int:
@@ -278,17 +268,18 @@ class FactorProfile:
             prod = prod * f
         if prod != xm_minus_one(self.base, self.m):
             raise AssertionError("factor product does not reconstruct x^m - 1")
+        S, xi = self.splitting, self.xi
         for g, u in self.self_recip:
             if g != g.reciprocal():
                 raise AssertionError("self-reciprocal factor fails reciprocal check")
-            if g.evaluate(self.xi**u).raw != 0:
+            if g.evaluate(S, S.pow_raw(xi, u)) != 0:
                 raise AssertionError("g_i(xi^u_i) != 0")
         for h, hstar, v in self.pairs:
             if hstar != h.reciprocal() or h == hstar:
                 raise AssertionError("pair orientation check failed")
-            if h.evaluate(self.xi**v).raw != 0:
+            if h.evaluate(S, S.pow_raw(xi, v)) != 0:
                 raise AssertionError("h_j(xi^v_j) != 0")
-            if hstar.evaluate(self.xi ** (-v % self.m)).raw != 0:
+            if hstar.evaluate(S, S.pow_raw(xi, -v)) != 0:
                 raise AssertionError("h_j^*(xi^-v_j) != 0")
 
 
@@ -299,7 +290,7 @@ def factor_xm_minus_1(base: FiniteField, m: int) -> FactorProfile:
         raise NotCoprime(f"characteristic {base.p} divides m={m}")
     splitting, xi = root_of_unity(base, m)
     _, retract = splitting.embedding(base)
-    xi_pows = [splitting.pow_raw(xi.raw, i) for i in range(m)]
+    xi_pows = [splitting.pow_raw(xi, i) for i in range(m)]
 
     cosets = cyclotomic_cosets(base.order, m)
     by_leader = {}

@@ -146,8 +146,8 @@ def constituents(C: QcCode) -> ConstituentSet:
     xi = profile.xi
 
     def span_at(exp: int, suborder: int) -> LinearCode:
-        point = xi**exp
-        rows = [[a.evaluate(point).raw for a in gen] for gen in C.gens]
+        point = S.pow_raw(xi, exp)
+        rows = [[a.evaluate(S, point) for a in gen] for gen in C.gens]
         code = LinearCode.from_rows(S, C.ell, rows)
         _assert_subfield(S, code.rows, suborder)
         return code
@@ -171,7 +171,7 @@ def _idempotent(profile: FactorProfile, exp: int) -> tuple[int, ...]:
     S[x]/(x^m - 1): 1 at xi^exp and 0 at every other m-th root of unity."""
     S, m = profile.splitting, profile.m
     m_inv = S.inv_raw(m % S.p)
-    return tuple(S.mul_raw(m_inv, S.pow_raw(profile.xi.raw, -j * exp)) for j in range(m))
+    return tuple(S.mul_raw(m_inv, S.pow_raw(profile.xi, -j * exp)) for j in range(m))
 
 
 @lru_cache(maxsize=None)

@@ -121,6 +121,18 @@ def test_qc_constituents(tmp_path, capsys):
     assert degrees == [1, 4]
 
 
+def test_qc_constituents_pair_slots(tmp_path, capsys):
+    # binary m = 7 has one reciprocal pair h = 1 + x^2 + x^3, h* = 1 + x + x^3;
+    # the generator (h*, h*) vanishes at the roots of h* only
+    f = tmp_path / "m7.qc"
+    f.write_text("2 7 2 1\n1,1,0,1|1,1,0,1\n")
+    code, payload = run_json(capsys, "qc-constituents", "--in", str(f))
+    assert code == 0
+    assert payload["self_slots"] == [{"coset_leader": 0, "degree": 1, "dim": 1, "length": 2}]
+    assert payload["pair_slots"] == [{"coset_leader": 1, "degree": 3, "dims": [1, 0], "length": 2}]
+    assert payload["fq_dimension"] == payload["expanded_dimension"] == 1 * 1 + 3 * (1 + 0)
+
+
 def test_qc_jensen(tmp_path, capsys):
     f = tmp_path / "dc.qc"
     f.write_text(DATA_DC_M5)
@@ -270,6 +282,19 @@ def test_descend(tmp_path, capsys):
         "d": payload["params"]["d"],
     }
     assert payload["oracle_agreement"] is True
+
+
+def test_library_assertion_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(C, B):
+        raise AssertionError("subfield image has unexpected dimension")
+
+    monkeypatch.setattr(cc, "expand_subfield", broken)
+    f = tmp_path / "code.txt"
+    f.write_text("4 3 1\n1 0 2\n")
+    code, payload = run_json(capsys, "descend", "--in", str(f), "--q", "2")
+    assert code == 3
+    assert payload == {"error": "OracleDisagreement",
+                       "message": "subfield image has unexpected dimension"}
 
 
 def test_descend_bad_subfield(tmp_path, capsys):

@@ -217,9 +217,10 @@ def test_min_distance_of_high_rate_bch_codes(leaders, k, d):
     from qccd.polyring import Poly, factor_xm_minus_1
 
     prof = factor_xm_minus_1(F2, 63)
+    S = prof.splitting
     g = Poly.one(F2)
     for f in prof.all_factors():
-        if any(f.evaluate(prof.xi**i).raw == 0 for i in leaders):
+        if any(f.evaluate(S, S.pow_raw(prof.xi, i)) == 0 for i in leaders):
             g = g * f
     C = make_cyclic(F2, 63, g).as_linear_code()
     assert C.params() == (63, k) and k > 63 - k  # the dual-enumeration route
@@ -618,6 +619,16 @@ def test_bz_engine_binary_mask_width(monkeypatch, n, packed):
         assert lc.bz_min_distance(F2, [C.rows], C.pivot_cols)[0] == min_weight(F2, rows, n)
         assert C.min_distance() == min_weight(F2, rows, n)
     assert bool(calls) == packed
+
+
+def test_bz_engine_stack_longer_than_64():
+    # a stack's used-column masks are ints of n bits, however many
+    rng = random.Random(2)
+    codes = [[[int(i == j) for j in range(4)] + [rng.randrange(3) for _ in range(66)]
+              for i in range(4)] for _ in range(3)]
+    alone = [int(lc.bz_min_distance(F3, [rows], range(4))[0]) for rows in codes]
+    assert alone == [min_weight(F3, rows, 70) for rows in codes] == [37, 39, 40]
+    assert lc.bz_min_distance(F3, codes, range(4)).tolist() == alone
 
 
 @pytest.mark.parametrize("n", [1, 5, 20, 63])

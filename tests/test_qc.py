@@ -315,6 +315,58 @@ def test_twod_cyclic_rejects_nonreversible():
         twod_cyclic_lcd(ConstituentSet(profile, ell, (part, full), ()))
 
 
+# binary m = 7: x^7 - 1 = (x + 1)(x^3 + x + 1)(x^3 + x^2 + 1), one self-reciprocal
+# slot of degree 1 and one reciprocal pair, over GF(8); its only self slot is
+# odd, so the single-slot refusals past the slot checks use m = 3's quadratic one
+P7, P3 = factor_xm_minus_1(F2, 7), factor_xm_minus_1(F2, 3)
+S8, S4 = P7.splitting, P3.splitting
+
+
+def _full(S, ell):
+    return LinearCode.from_rows(S, ell, [[int(i == j) for j in range(ell)] for i in range(ell)])
+
+
+def _m7_set(ell, self_part, cp, cpp=None):
+    return ConstituentSet(P7, ell, (self_part,), ((cp, cpp or cp),))
+
+
+@pytest.mark.parametrize("build, refusal", [
+    # <1 + x> is reversible and cyclic: the pair slot carries [7, 6] twice
+    (lambda: twod_cyclic_lcd(_m7_set(7, _full(S8, 7), _cyclic_part(S8, 8, 7, [1, 1]))), None),
+    (lambda: twod_cyclic_lcd(_m7_set(2, _full(S8, 2), _full(S8, 2))),
+     (PreconditionViolation, "characteristic 2 divides ell=2")),
+    (lambda: twod_cyclic_lcd(_m7_set(3, LinearCode.from_rows(S8, 3, [[1, 0, 0]]), _full(S8, 3))),
+     (PreconditionViolation, "self slot u=0: constituent is not cyclic")),
+    (lambda: twod_cyclic_lcd(_m7_set(7, _full(S8, 7), _full(S8, 7), _cyclic_part(S8, 8, 7, [1, 1]))),
+     (PreconditionViolation, "pair slot v=1: paired constituents differ")),
+    (lambda: twod_cyclic_lcd(_m7_set(3, _full(S8, 3), LinearCode.from_rows(S8, 3, [[1, 0, 0]]))),
+     (PreconditionViolation, "pair slot v=1: constituent is not cyclic")),
+    (lambda: twod_cyclic_lcd(_m7_set(7, _full(S8, 7), _cyclic_part(S8, 8, 7, [1, 1, 0, 1]))),
+     (PreconditionViolation, "pair slot v=1: constituent is not reversible")),
+    (lambda: build_self_single(P7, 1, _full(S8, 2)),
+     (SlotNotSelfReciprocal, "profile has 1 self-reciprocal slots")),
+    (lambda: build_self_single(P3, 1, _full(F2, 2)),
+     (ShapeMismatch, "constituent must live in the splitting field")),
+    # (1, 1) is Hermitian self-orthogonal over GF(4): 1 + 1 = 0
+    (lambda: build_self_single(P3, 1, LinearCode.from_rows(S4, 2, [[1, 1]])),
+     (NotLcd, "constituent is not Hermitian LCD")),
+    (lambda: build_pair_double(P7, 0, _full(F2, 3)),
+     (ShapeMismatch, "constituent must live in the splitting field")),
+], ids=["twod-pair-slot", "twod-char-divides-ell", "twod-self-not-cyclic", "twod-pair-differ",
+        "twod-pair-not-cyclic", "twod-pair-not-reversible", "single-slot-index",
+        "single-wrong-field", "single-not-lcd", "pair-double-wrong-field"])
+def test_builders_on_binary_m7(build, refusal):
+    if refusal is None:
+        code, lcd = build()
+        lin = code.expand()
+        assert lcd and lin.hull_dim("euclidean") == 0 and is_qccd(code)[0]
+        assert lin.params() == (49, 1 * 7 + 3 * (6 + 6))  # sum of deg * dims over the slots
+        return
+    error, message = refusal
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # extension-field bases and the inverse CRT
 # ---------------------------------------------------------------------------
@@ -379,7 +431,8 @@ def test_inverse_crt_evaluates_to_constituents():
                 for a, c in zip(gen, row):
                     expected = {exp * q**t % m: S.pow_raw(c, q**t) for t in range(degree)}
                     for i in range(m):
-                        assert a.evaluate(profile.xi**i).raw == expected.get(i, 0), (C, exp, i)
+                        value = a.evaluate(S, S.pow_raw(profile.xi, i))
+                        assert value == expected.get(i, 0), (C, exp, i)
                 covered["self" if idx < profile.s else "pair"] += 1
                 covered["between"] += q < q**degree < S.order
     assert {C.m for C in M1_CODES} == {1}
@@ -394,7 +447,7 @@ def test_idempotent_is_primitive():
             E = Poly(S, qcmod._idempotent(profile, e))
             assert E.mul_mod_xm(E, m) == E, (q, m, e)
             for i in range(m):
-                assert E.evaluate(profile.xi**i).raw == (1 if i == e else 0), (q, m, e, i)
+                assert E.evaluate(S, S.pow_raw(profile.xi, i)) == (i == e), (q, m, e, i)
 
 
 def test_from_constituents_refuses_entry_outside_subfield():
