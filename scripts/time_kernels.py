@@ -6,7 +6,8 @@ Each DC shape is a stack of B seeded generators G = [I_m | circ(a)] over
 GF(q), k = m rows and n = 2m columns, reduced inside the right half as the
 Brouwer-Zimmermann engine takes its second information set:
 ``lincode._reduce_stack`` on the whole stack with the right half's mask,
-``lincode._reduce_gf2_stack`` on bit masks (q = 2 only), and the list
+``lincode._reduce_gf2_stack`` on bit masks (q = 2 only),
+``lincode._reduce_planes_stack`` on planes (q = 3, 4 only), and the list
 ``rref`` on each matrix alone with the right half first; the whole engine,
 ``lincode.bz_min_distance`` on the stack with pivots 0..m-1, B = 1
 included, so the cost of a stack of one stays in view; and the LCD screen
@@ -48,7 +49,8 @@ import qccd
 from qccd import QcCode, constituents, from_constituents, make_field
 from qccd.construct import _dc_screen
 from qccd.field import FiniteField, _smallest_irreducible
-from qccd.lincode import _reduce_gf2_stack, _reduce_stack, bz_min_distance, rref, weight_distribution
+from qccd.lincode import (_reduce_gf2_stack, _reduce_planes_stack, _reduce_stack, _words,
+                          bz_min_distance, rref, weight_distribution)
 from qccd.polyring import Poly
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2)}
@@ -154,6 +156,10 @@ def main(argv=None):
                     masks = stack @ (1 << np.arange(2 * m))
                     times[f"reduce_gf2_stack/{shape}"] = median_us(
                         lambda: _reduce_gf2_stack(masks, (1 << 2 * m) - (1 << m)), args.runs)
+                if q in (3, 4):
+                    planes = _words(field, stack)[0]
+                    times[f"reduce_planes_stack/{shape}"] = median_us(
+                        lambda: _reduce_planes_stack(field, planes, (1 << 2 * m) - (1 << m)), args.runs)
                 times[f"bz/{shape}"] = median_us(
                     lambda: bz_min_distance(field, stack, range(m)), args.runs)
                 lists = stack[:, :, order].tolist()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import lru_cache
@@ -398,7 +399,11 @@ def main(argv=None) -> int:
         if oracle is not None:
             payload["oracle_agreement"] = getattr(args, "no_oracle", False) or oracle(payload)
         _emit(payload, getattr(args, "format", "json"))
+        sys.stdout.flush()  # a reader that closed the pipe fails the write here
         return 0 if payload.get("oracle_agreement", True) else 3
+    except BrokenPipeError:  # nobody reads: exit quietly, and let no flush at exit fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (QccdError, OSError, ValueError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}))
         return 2

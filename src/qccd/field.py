@@ -124,9 +124,6 @@ class FiniteField:
         p = self.p
         return [(a // self._pk_pows[i]) % p for i in range(self.k)]
 
-    def from_digits(self, digits) -> int:
-        return sum(d * self._pk_pows[i] for i, d in enumerate(digits))
-
     # -- raw arithmetic on integer codes -----------------------------------
     # Zech addition: with n = q - 1 and g^(n/2) = -1, a nonzero b is a * g^d
     # for d = log b - log a, so a + b = g^(log a + zech[d]), and a + b = 0
@@ -150,13 +147,6 @@ class FiniteField:
         if not a:
             return 0
         return self._exp[self._log[a] + (self.order - 1) // 2]
-
-    def sub_raw(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.k == 1:
-            return (a - b) % self.p
-        return self.add_raw(a, self.neg_raw(b))
 
     def row_sub_raw(self, xs, c: int, ys) -> list[int]:
         """xs - c * ys entrywise on equal-length lists of raw codes, the row
@@ -233,9 +223,6 @@ class FiniteField:
             return 0
         return self._exp[self._log[a] * e % (self.order - 1)]
 
-    def frobenius_raw(self, a: int, j: int) -> int:
-        return self.pow_raw(a, self.p**j)
-
     @property
     def conj_exp(self) -> int:
         """sqrt(Q) = p^(k/2), the exponent of the Hermitian conjugation
@@ -248,16 +235,6 @@ class FiniteField:
         """First element in canonical enumeration order that generates the
         multiplicative group."""
         return self._prim
-
-    def multiplicative_order_raw(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("zero has no multiplicative order")
-        n = self.order - 1
-        o = n
-        for f in _prime_factors(n):
-            while o % f == 0 and self.pow_raw(a, o // f) == 1:
-                o //= f
-        return o
 
     # -- subfield machinery ------------------------------------------------
     def is_subfield(self, sub: "FiniteField") -> bool:

@@ -5,7 +5,8 @@ equality is a plain matrix comparison.  Every elimination of one matrix
 (``rref``, ``LinearCode.contains``) runs through the field's one row
 operation ``FiniteField.row_sub_raw``; a stack of matrices is reduced in
 numpy one row at a time, each matrix inside its own mask of free columns
-(``_reduce_stack``, on bit masks ``_reduce_gf2_stack``).  ``_gram`` forms
+(``_reduce_stack``, on bit masks and planes ``_reduce_gf2_stack`` and
+``_reduce_planes_stack``).  ``_gram`` forms
 X conj(Y)^T for every pair of a stack whole: the Gram matrices of
 ``LinearCode.gram``, and the products in F_q[x]/(x^m - 1) of the
 double-circulant LCD screen.
@@ -19,8 +20,9 @@ information sets is one masked elimination of every code still taking a
 set, and the rows of each new set lower its code's lightest word at once.
 Codes with k > n - k enumerate their dual.
 
-Both engines share one word layout (``_words``): binary codes of length
-n <= 64 as uint64 bit masks, all others as raw codes; and one source of
+Both engines share one word layout (``_words``): for n <= 64 binary codes
+as uint64 bit masks and GF(3), GF(4) codes as two uint64 planes (bitsliced
+after Boothby and Bradshaw), all others as raw codes; and one source of
 scalar multiples (``_multiples``).  Enumeration (``weight_distribution``)
 is projective: scalar multiples of a codeword share its weight, so past
 the span of the last rows, built whole and counted once, one codeword per
@@ -32,7 +34,7 @@ subfield (``qc._own_field``).
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 import numpy as np
@@ -242,10 +244,12 @@ def _mod(A: np.ndarray, p: int) -> np.ndarray:
 
 
 def _vadd(field: FiniteField, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized field addition of raw codes (broadcasting)."""
+    """Vectorized field addition of raw codes or planes (broadcasting)."""
     p = field.p
-    if p == 2:
+    if p == 2:  # raw codes, bit masks and GF(4) planes alike
         return np.bitwise_xor(A, b)
+    if A.dtype == np.uint64:  # GF(3) planes, a plane at a time: an inner loop of 2 is slow
+        return np.stack(_padd(p, (A[..., 0], A[..., 1]), (b[..., 0], b[..., 1])), axis=-1)
     if field.k == 1:
         return _mod(A + b, p)
     out = np.zeros(np.broadcast_shapes(A.shape, b.shape), dtype=A.dtype)
@@ -258,13 +262,41 @@ def _vadd(field: FiniteField, A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _words(field: FiniteField, stack):
     """The one layout of codewords, for both engines: (words, weigh).  Binary
     rows of length n <= MAX_LENGTH become uint64 bit masks (the last axis
-    packed away), weighed by popcount; every other code stays int64 raw
-    codes, weighed by its nonzero entries along the last axis."""
+    packed away), weighed by popcount; GF(3) and GF(4) rows two uint64
+    planes on a last axis of 2, plane i bit i of each raw code, weighed by
+    the popcount of their OR; every other code stays int64 raw codes,
+    weighed by its nonzero entries along the last axis."""
     G = np.asarray(stack, dtype=np.int64)
     if field.order == 2 and G.shape[-1] <= MAX_LENGTH:
         # bit 63 is -2^63 in int64: no sum of distinct bits overflows, and uint64 reads it as 2^63
         return (G @ (1 << np.arange(G.shape[-1]))).view(np.uint64), np.bitwise_count
+    if field.order in _PLANES and G.shape[-1] <= MAX_LENGTH:
+        planes = np.stack([G & 1, G >> 1], axis=-2) @ (1 << np.arange(G.shape[-1]))
+        return planes.view(np.uint64), lambda words: np.bitwise_count(words[..., 0] | words[..., 1])
     return G, lambda words: np.add.reduce(words != 0, axis=-1)
+
+
+# s (p0, p1) = e[_PLANES[q][s - 1]] with e = (p0, p1, p0 ^ p1): over GF(3)
+# 2 swaps the planes, over GF(4) w (p0, p1) = (p1, p0 ^ p1), w^2 = w + 1
+_PLANES = {3: np.array([[0, 1], [1, 0]]), 4: np.array([[0, 1], [1, 2], [2, 0]])}
+
+
+@lru_cache(maxsize=None)
+def _plane_steps(field: FiniteField) -> np.ndarray:
+    """steps[l] = (s, -s, -2s, ..., -(q - 1)s) as _PLANES rows, s = 1/l (1 for
+    l = 0): a pivot row R of lead l becomes sR, and a row with c at the pivot adds -csR."""
+    F, P = field, _PLANES[field.order]
+    return np.array([[P[F.mul_raw(F.neg_raw(c) if c else 1, F.inv_raw(l) if l else 1) - 1]
+                      for c in range(F.order)] for l in range(F.order)])
+
+
+def _padd(p: int, a, b):
+    """a + b on (p0, p1) pairs of plane ints or arrays over GF(3) or GF(4)."""
+    (a0, a1), (b0, b1) = a, b
+    if p == 2:
+        return a0 ^ b0, a1 ^ b1
+    t = (a0 | b1) ^ (a1 | b0)
+    return (a1 | b1) ^ t, (a0 | b0) ^ t
 
 
 @lru_cache(maxsize=None)
@@ -326,7 +358,7 @@ def _row_sums(field: FiniteField, mults: np.ndarray, w: int):
     """Every sum of w rows with first coefficient 1, for each matrix j,
     from mults[j, s - 1, i] = s * (row i of matrix j): blocks of shape
     (matrices, B, ...) with at most ``_SUMS`` entries in all.  A row may be
-    an array of raw codes or, over GF(2), one bit mask."""
+    an array of raw codes, one bit mask or two planes (``_words``)."""
     q, k = field.order, mults.shape[2]
     # s * (row i) at (s - 1) k + i, gathered by np.take: ~4x faster than [:, idx]
     flat = mults.reshape(len(mults), k * (q - 1), *mults.shape[3:])
@@ -385,6 +417,42 @@ def _reduce_gf2_stack(masks, cols) -> tuple[np.ndarray, np.ndarray]:
     return g, bits
 
 
+def _reduce_planes(field: FiniteField, words, cols) -> tuple[list[tuple[int, int]], list[int]]:
+    """``_reduce_gf2`` on (p0, p1) plane pairs of ints over GF(3) or GF(4):
+    the pivot row is scaled to lead 1, and each row cleared at the pivot."""
+    g, pivots, steps = [tuple(w) for w in words], [], _plane_steps(field).tolist()
+    for r in range(len(g)):
+        low = (g[r][0] | g[r][1]) & cols
+        if low:
+            bit, e = low & -low, (*g[r], g[r][0] ^ g[r][1])
+            c = [(x0 & bit > 0) + 2 * (x1 & bit > 0) for x0, x1 in g]  # the raw codes at the pivot
+            row, *add = [(e[i], e[j]) for i, j in steps[c[r]]]
+            g = [_padd(field.p, x, add[a - 1]) if a else x for x, a in zip(g, c)]
+            g[r] = row
+            pivots.append(bit.bit_length() - 1)
+    return g, pivots
+
+
+def _reduce_planes_stack(field: FiniteField, words, cols) -> tuple[np.ndarray, np.ndarray]:
+    """``_reduce_planes`` of each matrix of a (B, k, 2) stack of planes, held
+    as (2, k, B) meanwhile, so each step runs on rows of B contiguous words;
+    cols and the (B, k) pivot bits as in ``_reduce_gf2_stack``."""
+    g = np.array(words, dtype=np.uint64).transpose(2, 1, 0).copy()
+    cols, bits = np.asarray(cols, dtype=np.uint64), np.zeros(g.shape[1:], dtype=np.uint64)
+    steps, at = _plane_steps(field)[:, :3].transpose(1, 2, 0) * len(words), np.arange(len(words))
+    for r in range(g.shape[1]):
+        row = g[:, r]
+        low = (row[0] | row[1]) & cols
+        bits[r] = bit = low & -low
+        c = (g & bit) != 0  # the coefficient of each row at the pivot, a bit per plane
+        e = np.concatenate([row, row[:1] ^ row[1:]])
+        s, u, v = e.take(steps[:, :, c[0, r] + 2 * c[1, r]] + at)  # sR, -sR, -2sR
+        d = c[0] * u[:, None] ^ c[1] * v[:, None]  # -c sR: over GF(3) one of c0, c1 is set
+        g = g ^ d if field.p == 2 else np.array(_padd(field.p, g, d))
+        g[:, r] = s
+    return g.transpose(2, 1, 0), bits.T
+
+
 def _reduce_stack(field: FiniteField, stack, free) -> tuple[np.ndarray, np.ndarray]:
     """``_reduce_gf2`` of each matrix of a (B, k, n) stack of raw codes over
     any field, inside its free columns, a boolean mask per matrix (B, n) or
@@ -416,10 +484,13 @@ def _multiples(field: FiniteField, mats) -> np.ndarray:
     narrowest unsigned type that holds the sum of two raw codes, so the
     row sums built from it are a fraction of the int64 size.  Built about
     ``_SUMS`` entries at a time: no int64 temporary of the whole.  Bit masks
-    (``_words``) are their own only multiple."""
+    (``_words``) are their own only multiple; planes take ``_PLANES``."""
     mats = np.asarray(mats)
     if mats.dtype == np.uint64:
-        return mats[:, None]
+        if field.order == 2:
+            return mats[:, None]
+        e = np.concatenate([mats, mats[..., :1] ^ mats[..., 1:]], axis=-1)
+        return e[..., _PLANES[field.order]].transpose(0, 2, 1, 3)
     mats = mats.astype(np.min_scalar_type(2 * field.order - 2))
     scalars = np.arange(1, field.order)[:, None, None]
     mults = np.empty((len(mats), field.order - 1, *mats.shape[1:]), dtype=mats.dtype)
@@ -440,10 +511,11 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
     that anyway: the bound already reaches its lightest row, or k = 1.
     Used columns are int bit masks.  A round reduces every code still
     taking a set in one elimination, each inside its own unused columns
-    (``_reduce_stack`` or ``_reduce_gf2_stack`` with a mask per code); a
-    lone code takes the list ``rref`` or ``_reduce_gf2``, faster on one
-    small matrix.  The rows of each new set lower its code's lightest word
-    at once, so the next round's test sees them.  For w = 1, 2, ... the
+    (``_reduce_stack``, ``_reduce_gf2_stack`` or ``_reduce_planes_stack``
+    with a mask per code); a lone code takes the list ``rref``, or
+    ``_reduce_gf2`` or ``_reduce_planes`` on ints, faster on one small
+    matrix.  The rows of each new set lower its code's lightest word at
+    once, so the next round's test sees them.  For w = 1, 2, ... the
     sums of w rows with first coefficient 1 of each matrix stand for all
     words of information weight w (for w = 1 the rows, already weighed); a
     code is done when its bound reaches the lightest word seen, and at
@@ -458,13 +530,15 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
     entry is an upper bound on its distance that beats neither it nor the
     floor, and the largest entry is at most the floor otherwise.  A dropped
     code's lightest word is not its distance, so it never counts as done.
-    Words take the layout of ``_words`` (uint64 bit masks for binary codes
-    of length n <= 64), row sums of raw codes the type of ``_multiples``.
+    Words take the layout of ``_words`` (bit masks or planes for n <= 64 over
+    GF(2), GF(3), GF(4)), row sums of raw codes the type of ``_multiples``.
     """
     G = np.asarray(stack, dtype=np.int64)
     codes, k, n = G.shape
     G, weigh = _words(field, G)
-    packed = G.dtype == np.uint64
+    packed = G.dtype == np.uint64  # bit masks or planes, reduced alone or as a stack by:
+    one, many = ((_reduce_gf2, _reduce_gf2_stack) if field.order == 2 else
+                 (partial(_reduce_planes, field), partial(_reduce_planes_stack, field)))
     best = weigh(G).min(axis=1).astype(np.int64)
     mats, owner, ranks = [G], list(range(codes)), [[k] for _ in range(codes)]
     full = (1 << n) - 1
@@ -483,18 +557,15 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
         if len(live) == 1:
             b = live[0]
             if packed:
-                g, piv = _reduce_gf2(G[b].tolist(), free[0])
-                lightest = min(map(int.bit_count, g))
+                g, piv = one(G[b].tolist(), free[0])
             else:  # the free columns first
                 order = sorted(range(n), key=lambda c: used[b] >> c & 1)
                 g, piv = rref(field, G[b][:, order].tolist())
                 piv = [order[c] for c in piv if c < n - used[b].bit_count()]
-                lightest = n - max(row.count(0) for row in g)
-            best[b] = min(best[b], lightest)
-            reduced, new = [g], [sum(1 << c for c in piv)]
+            reduced, new = np.array([g], dtype=G.dtype), [sum(1 << c for c in piv)]
         else:
             if packed:
-                reduced, bits = _reduce_gf2_stack(G[live], free)
+                reduced, bits = many(G[live], free)
                 new = bits.sum(axis=1).tolist()
             else:
                 width = n // 8 + 1  # bytes of an n-bit mask, whatever n is
@@ -504,13 +575,13 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
                 reduced, piv = _reduce_stack(field, G[live], free)
                 bit = np.append(1 << np.arange(n, dtype=object), 0)  # bit[-1]: no pivot
                 new = bit[piv].sum(axis=1).tolist()
-            best[live] = np.minimum(best[live], weigh(reduced).min(axis=1))
+        best[live] = np.minimum(best[live], weigh(reduced).min(axis=1))
         took = [i for i, got in enumerate(new) if got]
         for i in took:
             ranks[live[i]].append(new[i].bit_count())
             used[live[i]] |= new[i]
         live = [live[i] for i in took]
-        mats.append(np.asarray(reduced, dtype=G.dtype)[took])
+        mats.append(reduced[took])
         owner += live
     ranks = np.array(list(itertools.zip_longest(*ranks, fillvalue=0))).T  # 0: no set
     owner = np.array(owner)
@@ -578,14 +649,6 @@ def weight_distribution(field: FiniteField, rows, n: int) -> np.ndarray:
         if i:
             span = spanned(i, span)
     return dist
-
-
-def min_weight(field: FiniteField, rows, n: int) -> int:
-    dist = weight_distribution(field, rows, n)
-    for i in range(1, n + 1):
-        if dist[i] > 0:
-            return i
-    raise ValueError("the span contains no nonzero codeword")
 
 
 def _krawtchouk(j: int, i: int, n: int, q: int) -> int:

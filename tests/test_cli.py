@@ -424,12 +424,30 @@ def test_missing_required_flag(capsys):
     assert main(["factor", "--q", "2"]) == 2
 
 
-def _fresh_python(*argv):
+def _fresh_env():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def _fresh_python(*argv):
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *argv], capture_output=True, text=True, env=_fresh_env(), timeout=120,
     )
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # the reader closes the pipe after its first byte: the command exits
+    # quietly (1 when its write failed, 0 when it had written all), and no
+    # later flush at exit fails either
+    for _ in range(3):
+        proc = subprocess.Popen([sys.executable, "-m", "qccd.cli", "factor", "--q", "2", "--m", "63"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env())
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) in (0, 1)
+        assert err == ""
 
 
 def _fresh_process(*argv):

@@ -30,7 +30,7 @@ from qccd.errors import (
     TooLargeToEnumerate,
 )
 from qccd.field import field_from_order, make_field
-from qccd.lincode import LinearCode, bz_min_distance, min_weight
+from qccd.lincode import LinearCode, bz_min_distance, weight_distribution
 from qccd.polyring import Poly, poly_gcd, xm_minus_one
 
 F2 = make_field(2, 1)
@@ -90,7 +90,7 @@ def test_extension_needs_square_order():
 def test_find_a_gf9():
     a = find_a(F9)
     assert F9.pow_raw(a, 4) == F9.neg_raw(1)
-    assert F9.multiplicative_order_raw(a) == 8
+    assert F9.pow_raw(a, 8) == 1  # and a^4 = -1: a has order 8
 
 
 def test_find_a_gf25():
@@ -237,7 +237,8 @@ def _dc_distance(base, m, a):
 def _expanded_distance(base, m, a):
     # full enumeration of the expanded code, independent of the engine
     lin = double_circulant(base, m, Poly(base, a)).expand()
-    return min_weight(base, lin.rows, lin.n)
+    dist = weight_distribution(base, lin.rows, lin.n)
+    return next(i for i in range(1, lin.n + 1) if dist[i])
 
 
 @pytest.mark.parametrize("base, m", [(F2, 7), (F3, 5), (F4, 4)])

@@ -22,6 +22,21 @@ from qccd.field import (
     root_of_unity,
 )
 
+def sub(F, a, b):
+    """a - b as a + (-b)."""
+    return F.add_raw(a, F.neg_raw(b))
+
+
+def frobenius(F, a, j):
+    """a^(p^j)."""
+    return F.pow_raw(a, F.p**j)
+
+
+def multiplicative_order(F, a):
+    """The least o >= 1 with a^o = 1, by trying each in turn."""
+    return next(o for o in range(1, F.order) if F.pow_raw(a, o) == 1)
+
+
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
@@ -86,7 +101,7 @@ def test_add_neg_sub_match_digit_formula(p, k):
         assert F.neg_raw(a) == digitwise(lambda x: -x, a)
         for b in range(F.order):
             assert F.add_raw(a, b) == digitwise(lambda x, y: x + y, a, b)
-            assert F.sub_raw(a, b) == digitwise(lambda x, y: x - y, a, b)
+            assert sub(F, a, b) == digitwise(lambda x, y: x - y, a, b)
 
 
 def test_inv_zero_raises():
@@ -97,21 +112,21 @@ def test_inv_zero_raises():
 @given(st.integers(0, 8), st.integers(0, 8))
 def test_frobenius_is_additive_and_multiplicative(a, b):
     F = F9
-    fa, fb = F.frobenius_raw(a, 1), F.frobenius_raw(b, 1)
-    assert F.frobenius_raw(F.add_raw(a, b), 1) == F.add_raw(fa, fb)
-    assert F.frobenius_raw(F.mul_raw(a, b), 1) == F.mul_raw(fa, fb)
+    fa, fb = frobenius(F, a, 1), frobenius(F, b, 1)
+    assert frobenius(F, F.add_raw(a, b), 1) == F.add_raw(fa, fb)
+    assert frobenius(F, F.mul_raw(a, b), 1) == F.mul_raw(fa, fb)
 
 
 @pytest.mark.parametrize("F", [F4, F8, F9, F16])
 def test_frobenius_orbit_closes(F):
     for a in range(F.order):
-        assert F.frobenius_raw(a, F.k) == a
+        assert frobenius(F, a, F.k) == a
 
 
 def test_primitive_element_order():
     for F in (F4, F8, F9, F16):
         g = F.primitive_element_raw()
-        assert F.multiplicative_order_raw(g) == F.order - 1
+        assert multiplicative_order(F, g) == F.order - 1
 
 
 def test_element_operators():
@@ -160,7 +175,7 @@ def schoolbook_product(F, a, b):
         c, shift = prod.pop(), len(prod) - k
         for j in range(k):
             prod[shift + j] = (prod[shift + j] - c * f[j]) % p
-    return F.from_digits(prod)
+    return sum(d * p**i for i, d in enumerate(prod))
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (2, 8), (3, 5), (5, 3), (7, 2), (257, 1), (2, 16), (3, 10)])
@@ -233,7 +248,7 @@ def test_trace_table_is_the_frobenius_sum(p, k, j):
     for a in range(big.order):
         acc = y = a
         for _ in range(k // j - 1):
-            y = big.frobenius_raw(y, j)
+            y = frobenius(big, y, j)
             acc = big.add_raw(acc, y)
         assert table[a] == retract[acc]
 
@@ -249,21 +264,21 @@ def test_trace_is_surjective_onto_subfield():
 )
 def test_root_of_unity_has_exact_order(q, m):
     S, xi = root_of_unity(field_from_order(q), m)
-    assert S.multiplicative_order_raw(xi) == m
+    assert multiplicative_order(S, xi) == m
 
 
 def test_root_of_unity_splitting_degree():
     # order of 2 mod 7 is 3, so the 7th roots live in GF(8)
     S, xi = root_of_unity(F2, 7)
-    assert S is F8 and F8.multiplicative_order_raw(xi) == 7
+    assert S is F8 and multiplicative_order(F8, xi) == 7
 
 
 def test_frobenius_orbit_iterates():
-    # frobenius_raw(a, j) is j squarings; the orbit of 7 in GF(16) has 4 members
+    # frobenius(a, j) is j squarings; the orbit of 7 in GF(16) has 4 members
     orbit = [7]
     for _ in range(4):
         orbit.append(F16.pow_raw(orbit[-1], 2))
-    assert [F16.frobenius_raw(7, j) for j in range(5)] == orbit
+    assert [frobenius(F16, 7, j) for j in range(5)] == orbit
     assert orbit[4] == 7 and len(set(orbit)) == 4
 
 
@@ -305,7 +320,7 @@ def test_zech_kernels_match_digit_formula_on_every_pair(p, k):
     ys = list(range(q)) * q
     for x, y in zip(xs, ys):
         assert F.add_raw(x, y) == digit_add(F, x, y)
-        assert F.sub_raw(x, y) == digit_sub(F, x, y)
+        assert sub(F, x, y) == digit_sub(F, x, y)
     assert [F.neg_raw(x) for x in range(q)] == [digit_sub(F, 0, x) for x in range(q)]
     rng = random.Random(q)
     for c in {0, 1, p - 1, F.primitive_element_raw(), rng.randrange(q), rng.randrange(q)}:
@@ -320,7 +335,7 @@ def test_zech_kernels_match_digit_formula_on_seeded_pairs(p, k):
     ys = [rng.randrange(F.order) for _ in range(3000)] + [0, 4, 0, 7]
     for x, y in zip(xs, ys):
         assert F.add_raw(x, y) == digit_add(F, x, y)
-        assert F.sub_raw(x, y) == digit_sub(F, x, y)
+        assert sub(F, x, y) == digit_sub(F, x, y)
         assert F.neg_raw(x) == digit_sub(F, 0, x)
     for c in (0, 1, F.neg_raw(1), rng.randrange(1, F.order)):
         assert F.row_sub_raw(xs, c, ys) == row_reference(F, xs, c, ys), c

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import qccd.lincode as lc
 from qccd.errors import LengthMismatch, TooLargeToEnumerate
 from qccd.field import make_field
-from qccd.lincode import LinearCode, min_weight, rref, weight_distribution
+from qccd.lincode import LinearCode, rref, weight_distribution
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -20,6 +21,13 @@ HAMMING_7_4 = [
     [0, 0, 1, 0, 1, 1, 0],
     [0, 0, 0, 1, 1, 1, 1],
 ]
+
+
+def min_weight(field, rows, n):
+    """The least nonzero weight in the span of rows, from its full weight
+    distribution: the reference for every engine."""
+    dist = weight_distribution(field, rows, n)
+    return next(i for i in range(1, n + 1) if dist[i])
 
 
 def random_code(rng, field, n, kmax):
@@ -156,8 +164,6 @@ def test_systematic_form():
 def brute_weights(field, rows, n):
     """Reference weight distribution by plain iteration (no numpy): one
     weight per coefficient vector over the field."""
-    import itertools
-
     dist = [0] * (n + 1)
     for msg in itertools.product(range(field.order), repeat=len(rows)):
         word = [0] * n
@@ -343,6 +349,87 @@ def test_bit_masks_and_raw_codes_agree(n, k):
             == min(i for i in range(1, n + 1) if masks[i]))
 
 
+def unplanes(words, n):
+    """The raw codes of a (..., 2) array of planes: 2^i at bit j of plane i."""
+    bits = np.asarray(words, dtype=np.uint64)[..., None] >> np.arange(n, dtype=np.uint64) & np.uint64(1)
+    return (bits[..., 0, :] + 2 * bits[..., 1, :]).tolist()
+
+
+@pytest.mark.parametrize("field", [F3, F4])
+@pytest.mark.parametrize("n,k", [(12, 4), (40, 9), (64, 10)])
+def test_planes_and_raw_codes_agree(field, n, k):
+    # the same rows as planes (n <= 64) and, padded with zero columns to
+    # n = 70, as raw codes: one weight distribution, one minimum distance,
+    # alone and in a stack; n = 64 uses bit 63
+    rng = random.Random(n * k + field.order)
+    C = random_code(rng, field, n, k)
+    padded = [list(r) + [0] * (70 - n) for r in C.rows]
+    words = lc._words(field, C.rows)[0]
+    assert words.dtype == np.uint64 and words.shape == (C.k, 2)
+    assert unplanes(words, n) == [list(r) for r in C.rows]
+    assert lc._words(field, padded)[0].dtype == np.int64
+    assert n < 64 or any(r[63] for r in C.rows)
+    planes, raw = weight_distribution(field, C.rows, n), weight_distribution(field, padded, 70)
+    assert raw.tolist() == planes.tolist() + [0] * (70 - n)
+    assert (lc.bz_min_distance(field, [C.rows], C.pivot_cols)[0]
+            == lc.bz_min_distance(field, [padded], C.pivot_cols)[0]
+            == min(i for i in range(1, n + 1) if planes[i]))
+    stack = [systematic(field, [[rng.randrange(field.order) for _ in range(n - k)] for _ in range(k)])
+             for _ in range(5)]
+    assert (lc.bz_min_distance(field, stack, range(k)).tolist()
+            == lc.bz_min_distance(field, [[r + [0] * (70 - n) for r in g] for g in stack], range(k)).tolist())
+
+
+@pytest.mark.parametrize("field", [F3, F4])
+def test_plane_arithmetic_matches_the_field(field):
+    # column j of the words A and B holds the j-th pair (a, b) of elements
+    q = field.order
+    a, b = map(list, zip(*itertools.product(range(q), repeat=2)))
+    A, B = lc._words(field, [a, b])[0]
+    assert unplanes(lc._vadd(field, A, B), q * q) == [field.add_raw(x, y) for x, y in zip(a, b)]
+    mults = lc._multiples(field, A[None, None])[0, :, 0]  # mults[s - 1] = s * A
+    assert mults.shape == (q - 1, 2)
+    for s in range(1, q):
+        assert unplanes(mults[s - 1], q * q) == [field.mul_raw(s, x) for x in a]
+    neg = mults[field.neg_raw(1) - 1]
+    assert unplanes(neg, q * q) == [field.neg_raw(x) for x in a]
+    assert unplanes(lc._vadd(field, B, neg), q * q) == [field.add_raw(y, field.neg_raw(x))
+                                                         for x, y in zip(a, b)]
+    # broadcast, as the enumeration adds the multiples of a row to a span
+    span = lc._vadd(field, mults[:, None], np.stack([A, B]))
+    assert [unplanes(w, q * q) for w in span.reshape(-1, 2)] == [
+        [field.add_raw(field.mul_raw(s, x), z) for x, z in zip(a, w)]
+        for s in range(1, q) for w in (a, b)]
+
+
+@pytest.mark.parametrize("field", [F3, F4])
+@pytest.mark.parametrize("k,n", [(1, 1), (3, 5), (4, 9), (8, 16), (6, 64)])
+def test_plane_kernels_match_reduce_stack(field, k, n):
+    # the stack kernel against _reduce_stack on the same rows, with zero and
+    # dependent rows, each matrix inside its own mask (none, all, random):
+    # the same rows, and pivot bits at the same columns, 0 for a row with no
+    # pivot; the lone kernel on Python ints gives each matrix the same; at
+    # n = 64 also inside bit 63 alone
+    rng = random.Random(field.order * 100 + n * 10 + k)
+    stack = np.array([raw_rows(rng, field, n, k) for _ in range(12)])
+    free = np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(12)])
+    free[0], free[1] = False, True
+    for free in (free, np.arange(n) == 63) if n == 64 else (free,):
+        free = np.broadcast_to(free, (12, n))
+        want, want_piv = lc._reduce_stack(field, stack, free)
+        cols = [sum(1 << c for c in range(n) if f[c]) for f in free.tolist()]
+        words = lc._words(field, stack)[0]
+        reduced, bits = lc._reduce_planes_stack(field, words, cols)
+        assert reduced.shape == (12, k, 2) and bits.shape == (12, k)
+        assert unplanes(reduced, n) == want.tolist()
+        assert bits.tolist() == [[1 << c if c >= 0 else 0 for c in piv] for piv in want_piv.tolist()]
+        for w, col, g, b in zip(words.tolist(), cols, reduced.tolist(), bits.tolist()):
+            alone, piv = lc._reduce_planes(field, w, col)
+            assert [list(x) for x in alone] == g and [1 << c for c in piv] == [x for x in b if x]
+        assert (want_piv == -1).any() and (want_piv >= 0).any()
+    assert n < 64 or (bits == 1 << 63).any()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([F2, F3, F4, F5]),
@@ -397,7 +484,8 @@ def reference_rref(field, rows):
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [field.sub_raw(x, field.mul_raw(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [field.add_raw(x, field.neg_raw(field.mul_raw(f, y)))
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return rows[:r], pivots
@@ -678,7 +766,9 @@ def stronger_bound(ranks, k, w):
 
 @pytest.mark.parametrize("field,b,c", [
     (F2, [1, 1, 0, 0], [0, 1, 1, 1]),  # bit masks
-    (F3, [1, 1, 1, 0], [0, 0, 1, 1]),  # raw codes
+    (F5, [1, 1, 1, 0], [0, 0, 1, 1]),  # raw codes
+    (F3, [1, 1, 0, 0], [0, 1, 1, 1]),  # planes
+    (F4, [1, 1, 0, 0], [0, 1, 1, 1]),  # planes
 ])
 def test_bz_bound_counts_only_the_new_pivots(monkeypatch, field, b, c):
     # G = [I_4 | b b c c]: the columns beside the identity have rank 2, so a
@@ -690,6 +780,18 @@ def test_bz_bound_counts_only_the_new_pivots(monkeypatch, field, b, c):
     # the stronger bound stops at w = 1, where the lightest word seen weighs 3
     monkeypatch.setattr(lc, "_bz_bound", stronger_bound)
     assert lc.bz_min_distance(field, [rows], range(4))[0] == 3
+
+
+@pytest.mark.parametrize("field", [F3, F4])
+def test_bz_plane_kernel_takes_its_own_sets(monkeypatch, field):
+    # the b, c whose raw codes take the sets (4, 2, 2) over GF(5): the plane
+    # kernel pivots as _reduce_gf2 does, and its second set already holds a
+    # word of weight 2, so no third set is taken and the distance is the same
+    b, c = [1, 1, 1, 0], [0, 0, 1, 1]
+    rows = [[int(i == j) for j in range(4)] + [b[i], b[i], c[i], c[i]] for i in range(4)]
+    seen = record_ranks(monkeypatch)
+    assert lc.bz_min_distance(field, [rows], range(4))[0] == min_weight(field, rows, 8) == 2
+    assert seen[-1] == ((4, 2), 4)
 
 
 def systematic(field, p_rows):
@@ -767,8 +869,8 @@ def test_bz_engine_at_the_narrow_type_limit(field):
 
 @pytest.mark.parametrize("field,b,c", [
     (F2, [1, 1, 0, 0], [0, 1, 1, 1]),  # bit masks
-    # raw codes, stacked reduction: rows 2 and 3 have no pivot in the second
-    # set and become e0 - e1 + e2, e0 - e1 + e3, so w = 1 sees no weight 2
+    # GF(3) planes, stacked reduction: rows 2 and 3 have no pivot in the
+    # second set and become e0 - e1 + e2, e0 - e1 + e3, so w = 1 sees no weight 2
     (F3, [0, 1, 1, 1], [1, 1, 0, 0]),
 ])
 def test_bz_bound_counts_only_the_new_pivots_on_stacks(monkeypatch, field, b, c):

@@ -40,6 +40,44 @@ def test_reproduce_dc_table_flags_a_wrong_lcd_count(monkeypatch, capsys):
     assert "#LCD MISMATCH (dc_lcd_count 1)" in capsys.readouterr().out
 
 
+def test_bench_record_smoke(tmp_path, monkeypatch):
+    # this checkout against itself on one workload: equal digests, every
+    # end-to-end metric summarised on both sides, and a win count for each
+    record = load_script("bench_record")
+    monkeypatch.setattr(record.workloads, "WORKLOADS", ("dc_odd",))
+    out = tmp_path / "BENCH.json"
+    argv = ["--out", str(out), "--parent", record.ROOT, "--seeds", "1", "--seconds", "0", "--smoke"]
+    assert record.main(argv) == 0
+    data = json.loads(out.read_text())
+    context = data["context"]
+    assert {"nproc", "python", "numpy"} <= context.keys() and context["problems"] == []
+    assert context["seeds"] == [1] and context["git_commits"].keys() == {"change", "parent"}
+    change, parent = data["change"]["dc_odd"], data["parent"]["dc_odd"]
+    assert change["certificate_sha256"] == parent["certificate_sha256"]
+    assert list(change["certificate_sha256"]) == ["1"]
+    with open(os.path.join(record.ROOT, "BENCHMARK.json")) as fh:
+        names = {m["name"] for m in json.load(fh)["end_to_end"]}
+    for side in (change, parent):
+        assert side["metrics"].keys() == names
+        assert all(m["min"] <= m["median"] <= m["max"] and len(m["runs"]) == 1
+                   for m in side["metrics"].values())
+    assert data["change_wins"]["dc_odd"].keys() == names
+
+
+def test_bench_record_flags_failures_and_differing_digests(tmp_path, monkeypatch):
+    # a failed request, and a digest that differs between the sides at a seed, exit 1
+    record = load_script("bench_record")
+    monkeypatch.setattr(record.workloads, "WORKLOADS", ("dc_odd",))
+    metrics = {"setup_s": {"value": 0.1, "unit": "s"}}
+    for failed, parent_digest in [(0, "b"), (1, "a")]:
+        monkeypatch.setattr(record, "run_bench", lambda root, *args: (
+            {"certificate_sha256": "a" if root == record.ROOT else parent_digest},
+            {"correct": not failed, "failed": failed, "metrics": metrics}))
+        out = tmp_path / "BENCH.json"
+        assert record.main(["--out", str(out), "--parent", str(tmp_path), "--seeds", "1"]) == 1
+        assert json.loads(out.read_text())["context"]["problems"]
+
+
 def test_time_kernels_smoke(capsys):
     timer = load_script("time_kernels")
     assert timer.main(["--runs", "1"]) == 0
@@ -50,11 +88,11 @@ def test_time_kernels_smoke(capsys):
     assert footprint["openssl"] is False
     times = result["median_us"]
     # every DC shape (stack kernel, list rref, whole engine), mask kernel on
-    # GF(2) only, the screen where m is prime to q (not m = 8 over GF(2),
-    # GF(4)); two QC kernels on 11 (q, m) shapes, r = 1, 2; the cold import;
-    # the cold construction of five fields; and four enumerations, each with
-    # its tracemalloc peak
-    assert len(times) == 4 * 3 * 3 * 3 + 3 * 3 + (4 * 3 - 2) * 3 + 2 * 11 * 2 + 1 + 5 + 4
+    # GF(2) only, plane kernel on GF(3) and GF(4) only, the screen where m is
+    # prime to q (not m = 8 over GF(2), GF(4)); two QC kernels on 11 (q, m)
+    # shapes, r = 1, 2; the cold import; the cold construction of five
+    # fields; and four enumerations, each with its tracemalloc peak
+    assert len(times) == 4 * 3 * 3 * 3 + 3 * 3 + 2 * 3 * 3 + (4 * 3 - 2) * 3 + 2 * 11 * 2 + 1 + 5 + 4
     assert {f"field/{p}^{k}" for p, k in timer.COLD_FIELDS} <= times.keys()
     enum = {f"enum/q{q}/n{n}/k{k}" for q, n, k in timer.ENUM_SHAPES}
     assert enum <= times.keys() and result["enum_peak_kb"].keys() == enum
