@@ -87,8 +87,7 @@ def dc_is_lcd(base: FiniteField, m: int, a: Poly) -> bool:
     <(1, a)>, kept as the oracle of the search's unit test ``_dc_screen``."""
     if math.gcd(m, base.p) != 1:
         raise NotCoprime(f"characteristic {base.p} divides m={m}")
-    arev = a.substitute_power(m - 1, m)
-    f = a.mul_mod_xm(arev, m) + Poly.one(base)
+    f = (a * a.fold(m, m - 1)).fold(m) + Poly.one(base)
     if f.is_zero():
         return False
     return poly_gcd(f, xm_minus_one(base, m)).degree == 0

@@ -3,9 +3,10 @@ Euclidean and Hermitian forms, reversibility, and repeated-root lengths
 ell = ell0 * p^e.
 
 Each verdict is computed once, from g: the gcd criterion for LCD, and g
-against its (conjugate-)reciprocal for reversibility.  The CLI's
-``cyclic-check`` compares them with the oracle ``is_lcd_by_factors``, the
-hull dimension and the code's closure under reversal.
+against its (conjugate-)reciprocal for reversibility; ``_star`` picks
+either by form for both LCD tests.  The CLI's ``cyclic-check`` compares
+them with the oracle ``is_lcd_by_factors``, the hull dimension and the
+closure under reversal of the code spanned by the rotations of g.
 """
 from __future__ import annotations
 
@@ -31,7 +32,8 @@ class CyclicCode:
 
     def as_linear_code(self) -> LinearCode:
         if self._lin is None:
-            rows = [self.g.shift_mod_xm(i, self.ell).padded_coeffs(self.ell) for i in range(self.dim)]
+            b, n = self.g.padded_coeffs(self.ell), self.ell  # x^i rotates g by i
+            rows = [b[n - i:] + b[:n - i] for i in range(self.dim)]
             self._lin = LinearCode.from_rows(self.field, self.ell, rows)
         return self._lin
 
@@ -92,19 +94,23 @@ def _multiplicity(f: Poly, g: Poly) -> int:
     return m
 
 
+def _star(f: Poly, form: str) -> Poly:
+    """The reciprocal of f for the Euclidean form, its conjugate-reciprocal
+    for the Hermitian one."""
+    if form == "euclidean":
+        return f.reciprocal()
+    if form == "hermitian":
+        return f.conj_reciprocal()
+    raise ValueError(f"unknown form {form!r}")
+
+
 def is_lcd_by_factors(C: CyclicCode, form: str = "euclidean") -> bool:
     """The factor characterization of LCD cyclic codes: g equals its
     (conjugate-)reciprocal, and every irreducible factor of x^ell - 1 divides
     g to its full multiplicity in x^ell - 1 or not at all.  The CLI checks
     ``is_lcd_cyclic`` against it."""
     g = C.g
-    if form == "euclidean":
-        star = g.reciprocal()
-    elif form == "hermitian":
-        star = g.conj_reciprocal()
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return g == star and all(
+    return g == _star(g, form) and all(
         _multiplicity(f, g) in (0, mult) for f, mult in irreducible_factors(C.field, C.ell)
     )
 
@@ -114,13 +120,7 @@ def is_lcd_cyclic(C: CyclicCode, form: str = "euclidean") -> bool:
     check polynomial."""
     if C.dim == 0:
         return True  # zero code: trivial hull
-    if form == "euclidean":
-        ht = C.h.reciprocal()
-    elif form == "hermitian":
-        ht = C.h.conj_reciprocal()
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return poly_gcd(C.g, ht).degree == 0
+    return poly_gcd(C.g, _star(C.h, form)).degree == 0
 
 
 def is_reversible(C: CyclicCode) -> bool:

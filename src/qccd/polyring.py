@@ -111,9 +111,6 @@ class Poly:
     def __floordiv__(self, other):
         return self.divmod(other)[0]
 
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero()
-
     # -- evaluation --------------------------------------------------------
     def evaluate(self, E: FiniteField, x: int) -> int:
         """Value at x, a raw code of E, which is the coefficient field or an
@@ -148,39 +145,20 @@ class Poly:
     def conj_reciprocal(self) -> "Poly":
         return self.conjugate().reciprocal()
 
-    # -- modular helpers for R = F[x]/(x^m - 1) ----------------------------
-    def reduce_mod_xm(self, m: int) -> "Poly":
+    # -- R = F[x]/(x^m - 1) ------------------------------------------------
+    def fold(self, m: int, e: int = 1) -> "Poly":
+        """f(x^e) reduced in R = F[x]/(x^m - 1): coefficient i lands on
+        i e mod m.  With e = 1 it reduces f, with e = m - 1 it gives f(x^-1)."""
         F = self.field
         out = [0] * m
         for i, c in enumerate(self.coeffs):
             if c:
-                out[i % m] = F.add_raw(out[i % m], c)
-        return Poly(F, out)
-
-    def mul_mod_xm(self, other: "Poly", m: int) -> "Poly":
-        return (self * other).reduce_mod_xm(m)
-
-    def shift_mod_xm(self, s: int, m: int) -> "Poly":
-        """Multiply by x^s in F[x]/(x^m - 1)."""
-        F = self.field
-        out = [0] * m
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[(i + s) % m] = F.add_raw(out[(i + s) % m], c)
+                j = i * e % m
+                out[j] = F.add_raw(out[j], c)
         return Poly(F, out)
 
     def padded_coeffs(self, n: int) -> list[int]:
         return [self.coeff(i) for i in range(n)]
-
-    def substitute_power(self, e: int, m: int) -> "Poly":
-        """f(x^e) reduced in F[x]/(x^m - 1)."""
-        F = self.field
-        out = [0] * m
-        for i, c in enumerate(self.coeffs):
-            if c:
-                j = (i * e) % m
-                out[j] = F.add_raw(out[j], c)
-        return Poly(F, out)
 
     # -- misc --------------------------------------------------------------
     def __eq__(self, other):

@@ -11,6 +11,10 @@ IT 47, 2001), a closed form in the primitive idempotents, traced in each
 slot's own field GF(q^deg).  A constituent's minimum distance is taken
 over that field too, where its RREF rows already lie (extending scalars
 never changes a distance).
+
+Generators are reduced into R by ``Poly.fold``.  Both single-slot
+builders share one body that checks the slot's field and form, fills the
+slot beside one zero constituent, runs the inverse CRT and re-certifies.
 """
 from __future__ import annotations
 
@@ -47,7 +51,7 @@ class QcCode:
             gen = tuple(gen)
             if len(gen) != ell:
                 raise ShapeMismatch(f"generator tuple of length {len(gen)}, expected {ell}")
-            norm.append(tuple(a.reduce_mod_xm(m) for a in gen))
+            norm.append(tuple(a.fold(m) for a in gen))
         return cls(base, m, ell, tuple(norm))
 
     @classmethod
@@ -280,8 +284,24 @@ def jensen_bound(C: QcCode) -> int:
 # builders
 # ---------------------------------------------------------------------------
 
-def _zero_part(profile: FactorProfile, ell: int) -> LinearCode:
-    return LinearCode.from_rows(profile.splitting, ell, [])
+def _fill_slot(profile: FactorProfile, slot: int, degree: int, form: str, C: LinearCode) -> QcCode:
+    """QC code with C in one slot (self-reciprocal slots first, then pairs,
+    whose halves both take C) and zero elsewhere.  C must lie in the slot's
+    field GF(q^degree) and be LCD for the slot's form; the code is re-certified."""
+    S = profile.splitting
+    if C.field is not S:
+        raise ShapeMismatch("constituent must live in the splitting field")
+    _assert_subfield(S, C.rows, profile.base.order**degree)
+    if C.k and C.hull_dim(form, conj_exp=slot_conj_exp(profile.base, degree)) != 0:
+        raise NotLcd(f"constituent is not {form.capitalize()} LCD")
+    zero = LinearCode.from_rows(S, C.n, [])
+    parts = [C if i == slot else zero for i in range(profile.s + profile.t)]
+    pairs = tuple((part, part) for part in parts[profile.s:])
+    code = from_constituents(ConstituentSet(profile, C.n, tuple(parts[:profile.s]), pairs))
+    if not is_qccd(code)[0]:
+        kind = "single-slot" if slot < profile.s else "pair-doubling"
+        raise AssertionError(f"{kind} construction failed certification")
+    return code
 
 
 def build_pair_double(profile: FactorProfile, pair_index: int, C: LinearCode) -> QcCode:
@@ -290,23 +310,7 @@ def build_pair_double(profile: FactorProfile, pair_index: int, C: LinearCode) ->
     if not 0 <= pair_index < profile.t:
         raise SlotNotAPair(f"profile has {profile.t} pair slots")
     h, _, _ = profile.pairs[pair_index]
-    S = profile.splitting
-    if C.field is not S:
-        raise ShapeMismatch("constituent must live in the splitting field")
-    _assert_subfield(S, C.rows, profile.base.order**h.degree)
-    if C.k and C.hull_dim("euclidean") != 0:
-        raise NotLcd("constituent is not Euclidean LCD")
-    ell = C.n
-    self_parts = [_zero_part(profile, ell) for _ in range(profile.s)]
-    pair_parts = [
-        (C, C) if j == pair_index else (_zero_part(profile, ell), _zero_part(profile, ell))
-        for j in range(profile.t)
-    ]
-    code = from_constituents(ConstituentSet(profile, ell, tuple(self_parts), tuple(pair_parts)))
-    ok, _ = is_qccd(code)
-    if not ok:
-        raise AssertionError("pair-doubling construction failed certification")
-    return code
+    return _fill_slot(profile, profile.s + pair_index, h.degree, "euclidean", C)
 
 
 def build_self_single(profile: FactorProfile, self_index: int, C: LinearCode) -> QcCode:
@@ -319,25 +323,7 @@ def build_self_single(profile: FactorProfile, self_index: int, C: LinearCode) ->
         raise SlotNotSelfReciprocal(
             "slot must carry a self-reciprocal factor of even degree"
         )
-    S = profile.splitting
-    if C.field is not S:
-        raise ShapeMismatch("constituent must live in the splitting field")
-    _assert_subfield(S, C.rows, profile.base.order**g.degree)
-    e = slot_conj_exp(profile.base, g.degree)
-    if C.k and C.hull_dim("hermitian", conj_exp=e) != 0:
-        raise NotLcd("constituent is not Hermitian LCD")
-    ell = C.n
-    self_parts = [
-        C if i == self_index else _zero_part(profile, ell) for i in range(profile.s)
-    ]
-    pair_parts = [
-        (_zero_part(profile, ell), _zero_part(profile, ell)) for _ in range(profile.t)
-    ]
-    code = from_constituents(ConstituentSet(profile, ell, tuple(self_parts), tuple(pair_parts)))
-    ok, _ = is_qccd(code)
-    if not ok:
-        raise AssertionError("single-slot construction failed certification")
-    return code
+    return _fill_slot(profile, self_index, g.degree, "hermitian", C)
 
 
 # ---------------------------------------------------------------------------
@@ -352,23 +338,19 @@ def twod_cyclic_lcd(cs: ConstituentSet) -> tuple[QcCode, bool]:
         raise PreconditionViolation(f"characteristic {profile.base.p} divides ell={cs.ell}")
     shift = [cs.ell - 1] + list(range(cs.ell - 1))
     reversal = range(cs.ell - 1, -1, -1)
-    for (g, u), part in zip(profile.self_recip, cs.self_parts):
-        label = f"self slot u={u}"
-        if part.k:
-            if not part.closed_under(shift):
-                raise PreconditionViolation(f"{label}: constituent is not cyclic")
-            e = slot_conj_exp(profile.base, g.degree)
-            if not part.closed_under(reversal, e):
-                raise PreconditionViolation(f"{label}: constituent is not conjugate-reversible")
-    for (_, _, v), (cp, cpp) in zip(profile.pairs, cs.pair_parts):
-        label = f"pair slot v={v}"
-        if cp != cpp:
+    # (label, constituent, its partner, conjugation, name of the reversal)
+    slots = [(f"self slot u={u}", part, part, slot_conj_exp(profile.base, g.degree),
+              "conjugate-reversible")
+             for (g, u), part in zip(profile.self_recip, cs.self_parts)]
+    slots += [(f"pair slot v={v}", cp, cpp, 1, "reversible")
+              for (_, _, v), (cp, cpp) in zip(profile.pairs, cs.pair_parts)]
+    for label, part, partner, e, reversible in slots:
+        if part != partner:
             raise PreconditionViolation(f"{label}: paired constituents differ")
-        if cp.k:
-            if not cp.closed_under(shift):
-                raise PreconditionViolation(f"{label}: constituent is not cyclic")
-            if not cp.closed_under(reversal):
-                raise PreconditionViolation(f"{label}: constituent is not reversible")
+        if part.k and not part.closed_under(shift):
+            raise PreconditionViolation(f"{label}: constituent is not cyclic")
+        if part.k and not part.closed_under(reversal, e):
+            raise PreconditionViolation(f"{label}: constituent is not {reversible}")
     code = from_constituents(cs)
     lcd = code.expand().hull_dim("euclidean") == 0
     return code, lcd

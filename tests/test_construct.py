@@ -550,10 +550,13 @@ def test_dc_orbits_are_the_symmetry_orbits(q, m):
     def serial(p):
         return sum(c * q**i for i, c in enumerate(p.coeffs))
 
+    def x_pow(i):
+        return Poly(base, [0] * i + [1])
+
     def orbit(s):
         a = Poly(base, cc._serial_to_coeffs(s, q, m))
         return {
-            serial(a.substitute_power(j, m).shift_mod_xm(i, m))
+            serial((x_pow(i) * a.fold(m, j)).fold(m))
             for i in range(m) for j in range(1, m + 1) if math.gcd(j, m) == 1
         }
 

@@ -1,9 +1,12 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qccd.errors import NotSquareOrderField, ZeroConstantTerm
-from qccd.field import make_field
+from qccd.field import field_from_order, make_field, root_of_unity
 from qccd.polyring import (
     Poly,
     cyclotomic_cosets,
@@ -115,6 +118,43 @@ def test_reciprocal_involutes(f):
     if f.is_zero() or f.coeffs[0] == 0:
         return
     assert f.reciprocal().reciprocal() == f.monic()
+
+
+# ---------------------------------------------------------------------------
+# R = F[x]/(x^m - 1)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q, m", [(2, 7), (3, 8), (4, 5), (9, 5)])
+def test_fold_matches_evaluation(q, m):
+    # at each m-th root of unity xi^i, an independent oracle in the splitting
+    # field: f.fold(m, e) takes the value f(xi^(i e)), and a b folded a(xi^i) b(xi^i)
+    base, rng = field_from_order(q), random.Random(q * 100 + m)
+    S, xi = root_of_unity(base, m)
+    unit = next(e for e in range(2, m) if math.gcd(e, m) == 1)
+    non_unit = next(e for e in range(2, m + 1) if math.gcd(e, m) > 1)
+    assert unit not in (1, m - 1)
+    for _ in range(6):
+        f, a, b = (Poly(base, [rng.randrange(q) for _ in range(rng.randrange(3 * m))])
+                   for _ in range(3))
+        ab = (a * b).fold(m)
+        assert ab.degree < m
+        for e in (1, m - 1, unit, non_unit):
+            folded = f.fold(m, e)
+            assert folded.degree < m
+            for i in range(m):
+                point = S.pow_raw(xi, i)
+                assert folded.evaluate(S, point) == f.evaluate(S, S.pow_raw(xi, i * e)), (e, i)
+        for i in range(m):
+            point = S.pow_raw(xi, i)
+            assert ab.evaluate(S, point) == S.mul_raw(a.evaluate(S, point), b.evaluate(S, point))
+
+
+def test_fold_examples():
+    f = P(F2, 1, 1, 0, 1, 0, 0, 0, 1)  # 1 + x + x^3 + x^7
+    assert f.fold(7) == P(F2, 0, 1, 0, 1)  # x^7 = 1 cancels the constant
+    assert f.fold(7, 6) == P(F2, 0, 0, 0, 0, 1, 0, 1)  # x -> x^6 = x^-1
+    assert P(F3, 1, 2, 1).fold(3, 3) == P(F3, 1)  # x -> x^3 = 1: f(1) = 4 = 1
+    assert Poly.zero(F3).fold(4, 2).is_zero()
 
 
 # ---------------------------------------------------------------------------

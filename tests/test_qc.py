@@ -79,9 +79,11 @@ def test_expand_layout():
 
 
 def all_shifts(C):
-    """The F_q-linear view from all m shifts of every generator."""
-    rows = [[c for a in gen for c in a.shift_mod_xm(s, C.m).padded_coeffs(C.m)]
-            for gen in C.gens for s in range(C.m)]
+    """The F_q-linear view from all m shifts of every generator: each
+    block times x^s, folded into R."""
+    x_pows = [Poly(C.base, [0] * s + [1]) for s in range(C.m)]
+    rows = [[c for a in gen for c in (x_s * a).fold(C.m).padded_coeffs(C.m)]
+            for gen in C.gens for x_s in x_pows]
     return LinearCode.from_rows(C.base, C.m * C.ell, rows)
 
 
@@ -97,7 +99,7 @@ def test_expand_matches_all_shifts():
     # a multiple of the first generator, so the stacked bases exceed k, and a zero generator
     for C in repeated + CODES[:12]:
         v, zero = C.gens[0], (Poly.zero(C.base),) * C.ell
-        w = tuple(a.mul_mod_xm(Poly(C.base, [1, 1, 1]), C.m) for a in v)
+        w = tuple((a * Poly(C.base, [1, 1, 1])).fold(C.m) for a in v)
         lone = QcCode.make(C.base, C.m, C.ell, [v]).expand()
         assert QcCode.make(C.base, C.m, C.ell, [v, w]).expand() == lone, C
         assert QcCode.make(C.base, C.m, C.ell, [zero, v]).expand() == lone, C
@@ -317,9 +319,10 @@ def test_twod_cyclic_rejects_nonreversible():
 
 # binary m = 7: x^7 - 1 = (x + 1)(x^3 + x + 1)(x^3 + x^2 + 1), one self-reciprocal
 # slot of degree 1 and one reciprocal pair, over GF(8); its only self slot is
-# odd, so the single-slot refusals past the slot checks use m = 3's quadratic one
-P7, P3 = factor_xm_minus_1(F2, 7), factor_xm_minus_1(F2, 3)
-S8, S4 = P7.splitting, P3.splitting
+# odd, so the single-slot refusals past the slot checks use m = 3's quadratic one,
+# and binary m = 21's pair of degree 3 (pair 1) has its field GF(8) inside GF(64)
+P7, P3, P21 = factor_xm_minus_1(F2, 7), factor_xm_minus_1(F2, 3), factor_xm_minus_1(F2, 21)
+S8, S4, S64 = P7.splitting, P3.splitting, P21.splitting
 
 
 def _full(S, ell):
@@ -352,9 +355,18 @@ def _m7_set(ell, self_part, cp, cpp=None):
      (NotLcd, "constituent is not Hermitian LCD")),
     (lambda: build_pair_double(P7, 0, _full(F2, 3)),
      (ShapeMismatch, "constituent must live in the splitting field")),
+    (lambda: build_pair_double(P7, 1, _full(S8, 2)),
+     (SlotNotAPair, "profile has 1 pair slots")),
+    # (1, 1) is Euclidean self-orthogonal in characteristic 2
+    (lambda: build_pair_double(P7, 0, LinearCode.from_rows(S8, 2, [[1, 1]])),
+     (NotLcd, "constituent is not Euclidean LCD")),
+    # GF(8) is {0, 1, 10, 11, 36, 37, 46, 47} in GF(64), so 2 lies outside it
+    (lambda: build_pair_double(P21, 1, LinearCode.from_rows(S64, 2, [[1, 2]])),
+     (SubfieldViolation, "entry 2 not in the subfield of order 8")),
 ], ids=["twod-pair-slot", "twod-char-divides-ell", "twod-self-not-cyclic", "twod-pair-differ",
         "twod-pair-not-cyclic", "twod-pair-not-reversible", "single-slot-index",
-        "single-wrong-field", "single-not-lcd", "pair-double-wrong-field"])
+        "single-wrong-field", "single-not-lcd", "pair-double-wrong-field", "pair-double-index",
+        "pair-double-not-lcd", "pair-double-outside-subfield"])
 def test_builders_on_binary_m7(build, refusal):
     if refusal is None:
         code, lcd = build()
@@ -364,6 +376,18 @@ def test_builders_on_binary_m7(build, refusal):
         return
     error, message = refusal
     with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_pair_double(P7, 0, _full(S8, 2)), "pair-doubling"),
+    (lambda: build_self_single(P3, 1, LinearCode.from_rows(S4, 2, [[1, 0]])), "single-slot"),
+])
+def test_builders_recertify(monkeypatch, build, message):
+    # the built code goes through is_qccd again: a failed verdict is a broken invariant
+    build()
+    monkeypatch.setattr(qcmod, "is_qccd", lambda code: (False, {}))
+    with pytest.raises(AssertionError, match=f"^{message} construction failed certification$"):
         build()
 
 
@@ -445,7 +469,7 @@ def test_idempotent_is_primitive():
         S = profile.splitting
         for e in range(m):
             E = Poly(S, qcmod._idempotent(profile, e))
-            assert E.mul_mod_xm(E, m) == E, (q, m, e)
+            assert (E * E).fold(m) == E, (q, m, e)
             for i in range(m):
                 assert E.evaluate(S, S.pow_raw(profile.xi, i)) == (i == e), (q, m, e, i)
 
