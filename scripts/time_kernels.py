@@ -6,9 +6,9 @@ Each DC shape is a stack of B seeded generators G = [I_m | circ(a)] over
 GF(q), k = m rows and n = 2m columns, reduced inside the right half as the
 Brouwer-Zimmermann engine takes its second information set:
 ``lincode._reduce_stack`` on the whole stack with the right half's mask,
-``lincode._reduce_gf2_stack`` on bit masks (q = 2 only),
-``lincode._reduce_planes_stack`` on planes (q = 3, 4 only), and the list
-``rref`` on each matrix alone with the right half first; the whole engine,
+``lincode._reduce_planes_stack`` on planes (q = 2, 3, 4: one plane over
+GF(2), two over GF(3) and GF(4)), and the list ``rref`` on each matrix
+alone with the right half first; the whole engine,
 ``lincode.bz_min_distance`` on the stack with pivots 0..m-1, B = 1
 included, so the cost of a stack of one stays in view; and the LCD screen
 ``construct._dc_screen`` on the stack's coefficient rows a, on the shapes
@@ -25,7 +25,7 @@ got loaded.  The ``field`` entries time the cold construction of GF(2^11),
 GF(2^16), GF(3^10), GF(251^2) and GF(65521), modulus search and tables,
 as ``FiniteField(p, k, _smallest_irreducible(p, k))``, past ``make_field``'s
 cache.  The ``enum`` entries time ``lincode.weight_distribution`` on seeded
-rows of a binary [60,20] code (bit masks), a binary [70,16] code (raw
+rows of a binary [60,20] code (one plane), a binary [70,16] code (raw
 codes, past the 64-bit mask), a ternary [24,12] and a GF(9) [12,6] code,
 and take the tracemalloc peak of one more call each.  Prints one JSON
 line: the median wall time in microseconds of --runs calls per kernel and
@@ -49,8 +49,8 @@ import qccd
 from qccd import QcCode, constituents, from_constituents, make_field
 from qccd.construct import _dc_screen
 from qccd.field import FiniteField, _smallest_irreducible
-from qccd.lincode import (_reduce_gf2_stack, _reduce_planes_stack, _reduce_stack, _words,
-                          bz_min_distance, rref, weight_distribution)
+from qccd.lincode import (_reduce_planes_stack, _reduce_stack, _words, bz_min_distance, rref,
+                          weight_distribution)
 from qccd.polyring import Poly
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2)}
@@ -152,11 +152,7 @@ def main(argv=None):
                 shape = f"q{q}/m{m}/B{batch}"
                 times[f"reduce_stack/{shape}"] = median_us(
                     lambda: _reduce_stack(field, stack, right), args.runs)
-                if q == 2:
-                    masks = stack @ (1 << np.arange(2 * m))
-                    times[f"reduce_gf2_stack/{shape}"] = median_us(
-                        lambda: _reduce_gf2_stack(masks, (1 << 2 * m) - (1 << m)), args.runs)
-                if q in (3, 4):
+                if q in (2, 3, 4):
                     planes = _words(field, stack)[0]
                     times[f"reduce_planes_stack/{shape}"] = median_us(
                         lambda: _reduce_planes_stack(field, planes, (1 << 2 * m) - (1 << m)), args.runs)

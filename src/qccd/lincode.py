@@ -5,8 +5,7 @@ equality is a plain matrix comparison.  Every elimination of one matrix
 (``rref``, ``LinearCode.contains``) runs through the field's one row
 operation ``FiniteField.row_sub_raw``; a stack of matrices is reduced in
 numpy one row at a time, each matrix inside its own mask of free columns
-(``_reduce_stack``, on bit masks and planes ``_reduce_gf2_stack`` and
-``_reduce_planes_stack``).  ``_gram`` forms
+(``_reduce_stack``, on planes ``_reduce_planes_stack``).  ``_gram`` forms
 X conj(Y)^T for every pair of a stack whole: the Gram matrices of
 ``LinearCode.gram``, and the products in F_q[x]/(x^m - 1) of the
 double-circulant LCD screen.
@@ -20,21 +19,22 @@ information sets is one masked elimination of every code still taking a
 set, and the rows of each new set lower its code's lightest word at once.
 Codes with k > n - k enumerate their dual.
 
-Both engines share one word layout (``_words``): for n <= 64 binary codes
-as uint64 bit masks and GF(3), GF(4) codes as two uint64 planes (bitsliced
-after Boothby and Bradshaw), all others as raw codes; and one source of
-scalar multiples (``_multiples``).  Enumeration (``weight_distribution``)
-is projective: scalar multiples of a codeword share its weight, so past
-the span of the last rows, built whole and counted once, one codeword per
-class of nonzero scalar multiples is visited, in blocks of about
-``_CHUNK``, and counted q - 1 times.  A code is always spanned over its own
-field; a constituent of a quasi-cyclic code is first taken into its own
-subfield (``qc._own_field``).
+Both engines share one word layout (``_words``): for n <= 64 codes over
+GF(2), GF(3) and GF(4) as P = 1 or 2 uint64 planes (bitsliced after
+Boothby and Bradshaw; GF(2) the one-plane case), all others as raw codes;
+and one source of scalar multiples (``_multiples``).  Enumeration
+(``weight_distribution``) is projective: scalar multiples of a codeword
+share its weight, so past the span of the last rows, built whole and
+counted once, one codeword per class of nonzero scalar multiples is
+visited, in blocks of about ``_CHUNK``, and counted q - 1 times.  A code
+is always spanned over its own field; a constituent of a quasi-cyclic code
+is first taken into its own subfield (``qc._own_field``).
 """
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+import operator
+from functools import lru_cache, reduce
 from math import comb
 
 import numpy as np
@@ -246,7 +246,7 @@ def _mod(A: np.ndarray, p: int) -> np.ndarray:
 def _vadd(field: FiniteField, A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vectorized field addition of raw codes or planes (broadcasting)."""
     p = field.p
-    if p == 2:  # raw codes, bit masks and GF(4) planes alike
+    if p == 2:  # raw codes and planes alike
         return np.bitwise_xor(A, b)
     if A.dtype == np.uint64:  # GF(3) planes, a plane at a time: an inner loop of 2 is slow
         return np.stack(_padd(p, (A[..., 0], A[..., 1]), (b[..., 0], b[..., 1])), axis=-1)
@@ -260,25 +260,26 @@ def _vadd(field: FiniteField, A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _words(field: FiniteField, stack):
-    """The one layout of codewords, for both engines: (words, weigh).  Binary
-    rows of length n <= MAX_LENGTH become uint64 bit masks (the last axis
-    packed away), weighed by popcount; GF(3) and GF(4) rows two uint64
-    planes on a last axis of 2, plane i bit i of each raw code, weighed by
-    the popcount of their OR; every other code stays int64 raw codes,
-    weighed by its nonzero entries along the last axis."""
+    """The one layout of codewords, for both engines: (words, weigh).  Rows
+    of length n <= MAX_LENGTH over GF(2), GF(3) and GF(4) become P uint64
+    planes on a last axis (P = 1 over GF(2), 2 over GF(3) and GF(4)), plane
+    i bit i of each raw code, weighed by the popcount of their OR; every
+    other code stays int64 raw codes, weighed by its nonzero entries along
+    the last axis."""
     G = np.asarray(stack, dtype=np.int64)
-    if field.order == 2 and G.shape[-1] <= MAX_LENGTH:
-        # bit 63 is -2^63 in int64: no sum of distinct bits overflows, and uint64 reads it as 2^63
-        return (G @ (1 << np.arange(G.shape[-1]))).view(np.uint64), np.bitwise_count
     if field.order in _PLANES and G.shape[-1] <= MAX_LENGTH:
-        planes = np.stack([G & 1, G >> 1], axis=-2) @ (1 << np.arange(G.shape[-1]))
-        return planes.view(np.uint64), lambda words: np.bitwise_count(words[..., 0] | words[..., 1])
+        P = _PLANES[field.order].shape[1]
+        # bit 63 is -2^63 in int64: no sum of distinct bits overflows, and uint64 reads it as 2^63
+        words = (G[..., None, :] >> np.arange(P)[:, None] & 1) @ (1 << np.arange(G.shape[-1]))
+        return words.view(np.uint64), lambda words: np.bitwise_count(
+            reduce(np.bitwise_or, [words[..., i] for i in range(P)]))
     return G, lambda words: np.add.reduce(words != 0, axis=-1)
 
 
 # s (p0, p1) = e[_PLANES[q][s - 1]] with e = (p0, p1, p0 ^ p1): over GF(3)
-# 2 swaps the planes, over GF(4) w (p0, p1) = (p1, p0 ^ p1), w^2 = w + 1
-_PLANES = {3: np.array([[0, 1], [1, 0]]), 4: np.array([[0, 1], [1, 2], [2, 0]])}
+# 2 swaps the planes, over GF(4) w (p0, p1) = (p1, p0 ^ p1), w^2 = w + 1;
+# a GF(2) word is one plane (p0,), its own only multiple
+_PLANES = {2: np.array([[0]]), 3: np.array([[0, 1], [1, 0]]), 4: np.array([[0, 1], [1, 2], [2, 0]])}
 
 
 @lru_cache(maxsize=None)
@@ -291,10 +292,11 @@ def _plane_steps(field: FiniteField) -> np.ndarray:
 
 
 def _padd(p: int, a, b):
-    """a + b on (p0, p1) pairs of plane ints or arrays over GF(3) or GF(4)."""
-    (a0, a1), (b0, b1) = a, b
+    """a + b on tuples of P plane ints or arrays (``_words``): XOR plane by
+    plane over GF(2) and GF(4), seven operations on the pair over GF(3)."""
     if p == 2:
-        return a0 ^ b0, a1 ^ b1
+        return tuple(map(operator.xor, a, b))
+    (a0, a1), (b0, b1) = a, b
     t = (a0 | b1) ^ (a1 | b0)
     return (a1 | b1) ^ t, (a0 | b0) ^ t
 
@@ -358,7 +360,7 @@ def _row_sums(field: FiniteField, mults: np.ndarray, w: int):
     """Every sum of w rows with first coefficient 1, for each matrix j,
     from mults[j, s - 1, i] = s * (row i of matrix j): blocks of shape
     (matrices, B, ...) with at most ``_SUMS`` entries in all.  A row may be
-    an array of raw codes, one bit mask or two planes (``_words``)."""
+    an array of raw codes or P planes (``_words``)."""
     q, k = field.order, mults.shape[2]
     # s * (row i) at (s - 1) k + i, gathered by np.take: ~4x faster than [:, idx]
     flat = mults.reshape(len(mults), k * (q - 1), *mults.shape[3:])
@@ -388,73 +390,57 @@ def _bz_bound(ranks, k: int, w) -> np.ndarray:
     return np.add.reduce(np.maximum(terms, 0, out=terms), axis=-1)
 
 
-def _reduce_gf2(masks: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """Bit-mask rows reduced to unit pivot columns inside the mask cols, one
-    per row that has a bit there when its turn comes, and those columns."""
-    g, pivots = list(masks), []
+def _reduce_planes(field: FiniteField, words, cols) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Rows of P plane ints each (``_words``) reduced to unit pivot columns
+    inside the mask cols, one per row that has a bit there when its turn
+    comes, and those columns: the pivot row is scaled to lead 1, and each
+    row cleared at the pivot."""
+    g, pivots, steps, p = [tuple(w) for w in words], [], _plane_steps(field).tolist(), field.p
+    top = len(g[0]) - 1 if g else 0  # the raw code at bit b: (p0 & b > 0) | (p_top & b > 0) << top
     for r in range(len(g)):
-        low = g[r] & cols
+        row = g[r]
+        low = (row[0] | row[-1]) & cols
         if low:
-            bit, row = low & -low, g[r]
-            g = [x ^ row if x & bit else x for x in g]
-            g[r] = row
-            pivots.append(bit.bit_length() - 1)
-    return g, pivots
-
-
-def _reduce_gf2_stack(masks, cols) -> tuple[np.ndarray, np.ndarray]:
-    """``_reduce_gf2`` of each row of a (B, k) stack of bit masks, one numpy
-    step per row, inside the mask cols, one int for the whole stack or a
-    (B,) array: the reduced stack and the (B, k) pivot bits, 0 for a row
-    with no bit inside cols at its turn, all uint64, so bit 63 is a column."""
-    g, cols = np.array(masks, dtype=np.uint64), np.asarray(cols, dtype=np.uint64)
-    bits = np.zeros_like(g)
-    for r in range(g.shape[1]):
-        row, low = g[:, r].copy(), g[:, r] & cols
-        bits[:, r] = bit = low & -low
-        g ^= np.where(g & bit[:, None], row[:, None], 0)
-        g[:, r] = row
-    return g, bits
-
-
-def _reduce_planes(field: FiniteField, words, cols) -> tuple[list[tuple[int, int]], list[int]]:
-    """``_reduce_gf2`` on (p0, p1) plane pairs of ints over GF(3) or GF(4):
-    the pivot row is scaled to lead 1, and each row cleared at the pivot."""
-    g, pivots, steps = [tuple(w) for w in words], [], _plane_steps(field).tolist()
-    for r in range(len(g)):
-        low = (g[r][0] | g[r][1]) & cols
-        if low:
-            bit, e = low & -low, (*g[r], g[r][0] ^ g[r][1])
-            c = [(x0 & bit > 0) + 2 * (x1 & bit > 0) for x0, x1 in g]  # the raw codes at the pivot
-            row, *add = [(e[i], e[j]) for i, j in steps[c[r]]]
-            g = [_padd(field.p, x, add[a - 1]) if a else x for x, a in zip(g, c)]
+            bit = low & -low
+            if not top:  # GF(2): the pivot row is its own scaled row and what each row adds
+                add = [row]
+            else:
+                e = (*row, row[0] ^ row[1])
+                row, *add = [tuple(map(e.__getitem__, at))
+                             for at in steps[(row[0] & bit > 0) | (row[1] & bit > 0) << 1]]
+            g = [_padd(p, w, add[c - 1]) if (c := (w[0] & bit > 0) | (w[-1] & bit > 0) << top)
+                 else w for w in g]
             g[r] = row
             pivots.append(bit.bit_length() - 1)
     return g, pivots
 
 
 def _reduce_planes_stack(field: FiniteField, words, cols) -> tuple[np.ndarray, np.ndarray]:
-    """``_reduce_planes`` of each matrix of a (B, k, 2) stack of planes, held
-    as (2, k, B) meanwhile, so each step runs on rows of B contiguous words;
-    cols and the (B, k) pivot bits as in ``_reduce_gf2_stack``."""
-    g = np.array(words, dtype=np.uint64).transpose(2, 1, 0).copy()
+    """``_reduce_planes`` of each matrix of a (B, k, P) stack of planes inside
+    the mask cols, one int or a (B,) array, one numpy step per row on rows
+    of B contiguous words (held as (P, k, B)): the reduced stack and the
+    (B, k) uint64 pivot bits (bit 63 a column), 0 for no pivot."""
+    g = np.ascontiguousarray(np.asarray(words, dtype=np.uint64).transpose(2, 1, 0))
     cols, bits = np.asarray(cols, dtype=np.uint64), np.zeros(g.shape[1:], dtype=np.uint64)
     steps, at = _plane_steps(field)[:, :3].transpose(1, 2, 0) * len(words), np.arange(len(words))
     for r in range(g.shape[1]):
         row = g[:, r]
-        low = (row[0] | row[1]) & cols
+        low = (row[0] | row[-1]) & cols
         bits[r] = bit = low & -low
         c = (g & bit) != 0  # the coefficient of each row at the pivot, a bit per plane
-        e = np.concatenate([row, row[:1] ^ row[1:]])
-        s, u, v = e.take(steps[:, :, c[0, r] + 2 * c[1, r]] + at)  # sR, -sR, -2sR
-        d = c[0] * u[:, None] ^ c[1] * v[:, None]  # -c sR: over GF(3) one of c0, c1 is set
+        if len(g) == 1:  # GF(2): the pivot row is its own scaled row and what each row adds
+            s, d = row, c * row[:, None]
+        else:
+            e = np.concatenate([row, row[:1] ^ row[1:]])
+            s, u, v = e.take(steps[:, :, c[0, r] + 2 * c[1, r]] + at)  # sR, -sR, -2sR
+            d = c[0] * u[:, None] ^ c[1] * v[:, None]  # -c sR: over GF(3) one of c0, c1 is set
         g = g ^ d if field.p == 2 else np.array(_padd(field.p, g, d))
         g[:, r] = s
     return g.transpose(2, 1, 0), bits.T
 
 
 def _reduce_stack(field: FiniteField, stack, free) -> tuple[np.ndarray, np.ndarray]:
-    """``_reduce_gf2`` of each matrix of a (B, k, n) stack of raw codes over
+    """``_reduce_planes`` of each matrix of a (B, k, n) stack of raw codes over
     any field, inside its free columns, a boolean mask per matrix (B, n) or
     one for all (n,), one numpy step per row: the reduced stack and the
     (B, k) pivot columns, -1 for a row zero inside its free columns at its
@@ -483,12 +469,10 @@ def _multiples(field: FiniteField, mats) -> np.ndarray:
     """mults[j, s - 1] = s * mats[j] for every nonzero scalar s, in the
     narrowest unsigned type that holds the sum of two raw codes, so the
     row sums built from it are a fraction of the int64 size.  Built about
-    ``_SUMS`` entries at a time: no int64 temporary of the whole.  Bit masks
-    (``_words``) are their own only multiple; planes take ``_PLANES``."""
+    ``_SUMS`` entries at a time: no int64 temporary of the whole.  Planes
+    (``_words``) take ``_PLANES``."""
     mats = np.asarray(mats)
     if mats.dtype == np.uint64:
-        if field.order == 2:
-            return mats[:, None]
         e = np.concatenate([mats, mats[..., :1] ^ mats[..., 1:]], axis=-1)
         return e[..., _PLANES[field.order]].transpose(0, 2, 1, 3)
     mats = mats.astype(np.min_scalar_type(2 * field.order - 2))
@@ -511,10 +495,9 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
     that anyway: the bound already reaches its lightest row, or k = 1.
     Used columns are int bit masks.  A round reduces every code still
     taking a set in one elimination, each inside its own unused columns
-    (``_reduce_stack``, ``_reduce_gf2_stack`` or ``_reduce_planes_stack``
-    with a mask per code); a lone code takes the list ``rref``, or
-    ``_reduce_gf2`` or ``_reduce_planes`` on ints, faster on one small
-    matrix.  The rows of each new set lower its code's lightest word at
+    (``_reduce_planes_stack`` on planes, else ``_reduce_stack``, with a mask
+    per code); a lone code takes ``_reduce_planes`` on ints, or the list
+    ``rref``, faster on one small matrix.  The rows of each new set lower its code's lightest word at
     once, so the next round's test sees them.  For w = 1, 2, ... the
     sums of w rows with first coefficient 1 of each matrix stand for all
     words of information weight w (for w = 1 the rows, already weighed); a
@@ -530,15 +513,13 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
     entry is an upper bound on its distance that beats neither it nor the
     floor, and the largest entry is at most the floor otherwise.  A dropped
     code's lightest word is not its distance, so it never counts as done.
-    Words take the layout of ``_words`` (bit masks or planes for n <= 64 over
+    Words take the layout of ``_words`` (P = 1 or 2 planes for n <= 64 over
     GF(2), GF(3), GF(4)), row sums of raw codes the type of ``_multiples``.
     """
     G = np.asarray(stack, dtype=np.int64)
     codes, k, n = G.shape
     G, weigh = _words(field, G)
-    packed = G.dtype == np.uint64  # bit masks or planes, reduced alone or as a stack by:
-    one, many = ((_reduce_gf2, _reduce_gf2_stack) if field.order == 2 else
-                 (partial(_reduce_planes, field), partial(_reduce_planes_stack, field)))
+    packed = G.dtype == np.uint64  # planes, else raw codes
     best = weigh(G).min(axis=1).astype(np.int64)
     mats, owner, ranks = [G], list(range(codes)), [[k] for _ in range(codes)]
     full = (1 << n) - 1
@@ -557,24 +538,23 @@ def bz_min_distance(field: FiniteField, stack, pivots, floor: int | None = None)
         if len(live) == 1:
             b = live[0]
             if packed:
-                g, piv = one(G[b].tolist(), free[0])
+                g, piv = _reduce_planes(field, G[b].tolist(), free[0])
             else:  # the free columns first
                 order = sorted(range(n), key=lambda c: used[b] >> c & 1)
                 g, piv = rref(field, G[b][:, order].tolist())
                 piv = [order[c] for c in piv if c < n - used[b].bit_count()]
             reduced, new = np.array([g], dtype=G.dtype), [sum(1 << c for c in piv)]
+        elif packed:
+            reduced, bits = _reduce_planes_stack(field, G[live], free)
+            new = bits.sum(axis=1).tolist()
         else:
-            if packed:
-                reduced, bits = many(G[live], free)
-                new = bits.sum(axis=1).tolist()
-            else:
-                width = n // 8 + 1  # bytes of an n-bit mask, whatever n is
-                free = b"".join(f.to_bytes(width, "little") for f in free)
-                free = np.unpackbits(np.frombuffer(free, np.uint8).reshape(-1, width), axis=1,
-                                     count=n, bitorder="little").view(bool)
-                reduced, piv = _reduce_stack(field, G[live], free)
-                bit = np.append(1 << np.arange(n, dtype=object), 0)  # bit[-1]: no pivot
-                new = bit[piv].sum(axis=1).tolist()
+            width = n // 8 + 1  # bytes of an n-bit mask, whatever n is
+            free = b"".join(f.to_bytes(width, "little") for f in free)
+            free = np.unpackbits(np.frombuffer(free, np.uint8).reshape(-1, width), axis=1,
+                                 count=n, bitorder="little").view(bool)
+            reduced, piv = _reduce_stack(field, G[live], free)
+            bit = np.append(1 << np.arange(n, dtype=object), 0)  # bit[-1]: no pivot
+            new = bit[piv].sum(axis=1).tolist()
         best[live] = np.minimum(best[live], weigh(reduced).min(axis=1))
         took = [i for i, got in enumerate(new) if got]
         for i in took:

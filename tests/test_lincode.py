@@ -334,25 +334,16 @@ def test_binary_enumeration_memory_is_chunked():
     assert peak < 4 << 20
 
 
-@pytest.mark.parametrize("n,k", [(12, 4), (40, 9), (64, 10)])
-def test_bit_masks_and_raw_codes_agree(n, k):
-    # the same rows as bit masks (n <= 64) and, padded with zero columns to
-    # n = 70, as raw codes: one weight distribution, one minimum distance
-    rng = random.Random(n * k)
-    C = random_code(rng, F2, n, k)
-    padded = [list(r) + [0] * (70 - n) for r in C.rows]
-    assert lc._words(F2, C.rows)[0].dtype == np.uint64 and lc._words(F2, padded)[0].dtype == np.int64
-    masks, raw = weight_distribution(F2, C.rows, n), weight_distribution(F2, padded, 70)
-    assert raw.tolist() == masks.tolist() + [0] * (70 - n)
-    assert (lc.bz_min_distance(F2, [C.rows], C.pivot_cols)[0]
-            == lc.bz_min_distance(F2, [padded], C.pivot_cols)[0]
-            == min(i for i in range(1, n + 1) if masks[i]))
-
-
 def unplanes(words, n):
-    """The raw codes of a (..., 2) array of planes: 2^i at bit j of plane i."""
-    bits = np.asarray(words, dtype=np.uint64)[..., None] >> np.arange(n, dtype=np.uint64) & np.uint64(1)
-    return (bits[..., 0, :] + 2 * bits[..., 1, :]).tolist()
+    """The raw codes of a (..., P) array of planes: 2^i at bit j of plane i."""
+    words = np.asarray(words, dtype=np.uint64)
+    bits = words[..., None] >> np.arange(n, dtype=np.uint64) & np.uint64(1)
+    return (bits << np.arange(words.shape[-1], dtype=np.uint64)[:, None]).sum(axis=-2).tolist()
+
+
+def planes_of(field):
+    """P, the planes of a word over GF(2) (1), GF(3) or GF(4) (2)."""
+    return 1 if field.order == 2 else 2
 
 
 @pytest.mark.parametrize("field", [F3, F4])
@@ -365,7 +356,7 @@ def test_planes_and_raw_codes_agree(field, n, k):
     C = random_code(rng, field, n, k)
     padded = [list(r) + [0] * (70 - n) for r in C.rows]
     words = lc._words(field, C.rows)[0]
-    assert words.dtype == np.uint64 and words.shape == (C.k, 2)
+    assert words.dtype == np.uint64 and words.shape == (C.k, planes_of(field))
     assert unplanes(words, n) == [list(r) for r in C.rows]
     assert lc._words(field, padded)[0].dtype == np.int64
     assert n < 64 or any(r[63] for r in C.rows)
@@ -380,7 +371,13 @@ def test_planes_and_raw_codes_agree(field, n, k):
             == lc.bz_min_distance(field, [[r + [0] * (70 - n) for r in g] for g in stack], range(k)).tolist())
 
 
-@pytest.mark.parametrize("field", [F3, F4])
+@pytest.mark.parametrize("n,k", [(12, 4), (40, 9), (64, 10)])
+def test_bit_masks_and_raw_codes_agree(n, k):
+    # a GF(2) word is one uint64 plane: the same checks as over GF(3), GF(4)
+    test_planes_and_raw_codes_agree(F2, n, k)
+
+
+@pytest.mark.parametrize("field", [F3, F4, F2])
 def test_plane_arithmetic_matches_the_field(field):
     # column j of the words A and B holds the j-th pair (a, b) of elements
     q = field.order
@@ -388,7 +385,7 @@ def test_plane_arithmetic_matches_the_field(field):
     A, B = lc._words(field, [a, b])[0]
     assert unplanes(lc._vadd(field, A, B), q * q) == [field.add_raw(x, y) for x, y in zip(a, b)]
     mults = lc._multiples(field, A[None, None])[0, :, 0]  # mults[s - 1] = s * A
-    assert mults.shape == (q - 1, 2)
+    assert mults.shape == (q - 1, planes_of(field))
     for s in range(1, q):
         assert unplanes(mults[s - 1], q * q) == [field.mul_raw(s, x) for x in a]
     neg = mults[field.neg_raw(1) - 1]
@@ -397,37 +394,39 @@ def test_plane_arithmetic_matches_the_field(field):
                                                          for x, y in zip(a, b)]
     # broadcast, as the enumeration adds the multiples of a row to a span
     span = lc._vadd(field, mults[:, None], np.stack([A, B]))
-    assert [unplanes(w, q * q) for w in span.reshape(-1, 2)] == [
+    assert [unplanes(w, q * q) for w in span.reshape(-1, planes_of(field))] == [
         [field.add_raw(field.mul_raw(s, x), z) for x, z in zip(a, w)]
         for s in range(1, q) for w in (a, b)]
 
 
-@pytest.mark.parametrize("field", [F3, F4])
-@pytest.mark.parametrize("k,n", [(1, 1), (3, 5), (4, 9), (8, 16), (6, 64)])
+@pytest.mark.parametrize("field", [F3, F4, F2])
+@pytest.mark.parametrize("k,n", [(1, 1), (3, 5), (4, 9), (8, 16), (17, 63), (6, 64)])
 def test_plane_kernels_match_reduce_stack(field, k, n):
-    # the stack kernel against _reduce_stack on the same rows, with zero and
-    # dependent rows, each matrix inside its own mask (none, all, random):
-    # the same rows, and pivot bits at the same columns, 0 for a row with no
-    # pivot; the lone kernel on Python ints gives each matrix the same; at
-    # n = 64 also inside bit 63 alone
+    # the stack kernel against _reduce_stack on the same rows, with zero,
+    # dependent and repeated rows, a zero matrix and one row k times, each
+    # matrix inside its own mask (none, all, random): the same rows, and
+    # pivot bits at the same columns, 0 for a row with no pivot; the lone
+    # kernel on Python ints gives each matrix the same; at n = 63 and 64
+    # also inside the last column alone, bit 62 or 63
     rng = random.Random(field.order * 100 + n * 10 + k)
     stack = np.array([raw_rows(rng, field, n, k) for _ in range(12)])
+    stack[2], stack[3] = 0, stack[3, :1]
     free = np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(12)])
     free[0], free[1] = False, True
-    for free in (free, np.arange(n) == 63) if n == 64 else (free,):
+    for free in (free, np.arange(n) == n - 1) if n >= 63 else (free,):
         free = np.broadcast_to(free, (12, n))
         want, want_piv = lc._reduce_stack(field, stack, free)
         cols = [sum(1 << c for c in range(n) if f[c]) for f in free.tolist()]
         words = lc._words(field, stack)[0]
         reduced, bits = lc._reduce_planes_stack(field, words, cols)
-        assert reduced.shape == (12, k, 2) and bits.shape == (12, k)
+        assert reduced.shape == (12, k, planes_of(field)) and bits.shape == (12, k)
         assert unplanes(reduced, n) == want.tolist()
         assert bits.tolist() == [[1 << c if c >= 0 else 0 for c in piv] for piv in want_piv.tolist()]
         for w, col, g, b in zip(words.tolist(), cols, reduced.tolist(), bits.tolist()):
             alone, piv = lc._reduce_planes(field, w, col)
             assert [list(x) for x in alone] == g and [1 << c for c in piv] == [x for x in b if x]
         assert (want_piv == -1).any() and (want_piv >= 0).any()
-    assert n < 64 or (bits == 1 << 63).any()
+    assert n < 63 or (bits == 1 << n - 1).any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -505,29 +504,6 @@ def test_rref_matches_per_element_reference(field):
     assert rref(field, []) == ([], [])
 
 
-@pytest.mark.parametrize("n,k", [(1, 1), (5, 2), (20, 7), (63, 17)])
-def test_reduce_stack_over_gf2_is_the_mask_kernel(n, k):
-    # the same algorithm as _reduce_gf2: the same rows and pivots, on raw codes
-    rng = random.Random(n * 100 + k + 1)
-
-    def bits(masks):
-        return [[x >> j & 1 for j in range(n)] for x in masks]
-
-    for cols in (0, (1 << n) - 1, rng.getrandbits(n)):
-        for size in (1, 9):  # with zero and repeated rows
-            stack = [[rng.getrandbits(n) if rng.random() < 0.8 else 0 for _ in range(k)]
-                     for _ in range(size)]
-            if size > 1:
-                stack[0], stack[1] = [0] * k, [stack[1][0]] * k
-            free = np.array(bits([cols])[0], dtype=bool)
-            reduced, pivots = lc._reduce_stack(F2, [bits(masks) for masks in stack], free)
-            assert reduced.shape == (size, k, n) and pivots.shape == (size, k)
-            for masks, got, piv in zip(stack, reduced.tolist(), pivots.tolist()):
-                want, want_piv = lc._reduce_gf2(masks, cols)
-                assert got == bits(want)
-                assert [c for c in piv if c >= 0] == want_piv
-
-
 @pytest.mark.parametrize("field", [F2, F3, F4, F5, F9])
 def test_reduce_stack_pivots_inside_cols(field):
     # unit pivot columns inside the free mask, other rows zero there, the
@@ -571,18 +547,6 @@ def test_reduce_stack_with_a_mask_per_matrix(field, k, n):
     # no free column: no pivot and the matrix as it was
     assert (pivots[0] == -1).all() and R[0].tolist() == stack[0].tolist()
     assert (pivots[1] >= 0).any()
-    if field.order == 2:
-        # on uint64 bit masks, inside each matrix's mask and then inside the
-        # last column alone (bit 63 at n = 64)
-        bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
-        masks = stack.astype(np.uint64) @ bit
-        for cols in (free.astype(np.uint64) @ bit, bit[-1]):
-            reduced, bits = lc._reduce_gf2_stack(masks, cols)
-            for row_masks, col_mask, g, b in zip(masks.tolist(), np.broadcast_to(cols, 12).tolist(),
-                                                 reduced.tolist(), bits.tolist()):
-                want, want_piv = lc._reduce_gf2(row_masks, col_mask)
-                assert g == want and [1 << c for c in want_piv] == [x for x in b if x]
-        assert (bits == bit[-1]).any()
     if n == 64:
         # the engine's free masks of length 64 reach bit 63 without overflow
         codes = [systematic(field, [[rng.randrange(field.order) for _ in range(n - k)]
@@ -697,9 +661,9 @@ def test_bz_engine_whole_space(field):
 
 @pytest.mark.parametrize("n,packed", [(64, True), (65, False)])
 def test_bz_engine_binary_mask_width(monkeypatch, n, packed):
-    # 64 columns fit a uint64 bit mask; length 65 runs on raw codes
-    calls, reduce_gf2 = [], lc._reduce_gf2
-    monkeypatch.setattr(lc, "_reduce_gf2", lambda *args: calls.append(1) or reduce_gf2(*args))
+    # 64 columns fit a uint64 plane; length 65 runs on raw codes
+    calls, reduce_planes = [], lc._reduce_planes
+    monkeypatch.setattr(lc, "_reduce_planes", lambda *args: calls.append(1) or reduce_planes(*args))
     rng = random.Random(n)
     for k in (3, 6, 9):
         rows = raw_rows(rng, F2, n, k)
@@ -719,33 +683,12 @@ def test_bz_engine_stack_longer_than_64():
     assert lc.bz_min_distance(F3, codes, range(4)).tolist() == alone
 
 
-@pytest.mark.parametrize("n", [1, 5, 20, 63])
-@pytest.mark.parametrize("k", [1, 2, 7, 17])
-def test_reduce_gf2_stack_matches_list_kernel(n, k):
-    # the stack kernel against _reduce_gf2 code by code, with zero rows,
-    # repeated rows, cols = 0, all columns, and bit 62 at n = 63
-    rng = random.Random(n * 100 + k)
-    for cols in (0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n), 1 << (n - 1)):
-        stack = [[rng.getrandbits(n) if rng.random() < 0.8 else 0 for _ in range(k)]
-                 for _ in range(9)]
-        stack[0] = [0] * k
-        stack[1] = [stack[1][0]] * k
-        reduced, bits = lc._reduce_gf2_stack(stack, cols)
-        assert reduced.shape == bits.shape == (9, k)
-        for masks, g, p in zip(stack, reduced.tolist(), bits.tolist()):
-            expected, pivots = lc._reduce_gf2(masks, cols)
-            assert g == expected
-            assert [1 << c for c in pivots] == [b for b in p if b]
-        if cols == 1 << 62:
-            assert (bits == 1 << 62).any()
-
-
 def test_bz_engine_reduces_binary_groups_as_stacks(monkeypatch):
     # every code taking a set in a round is in one stack-kernel call; a lone code takes the list kernel
-    calls, stack_kernel, list_kernel = [], lc._reduce_gf2_stack, lc._reduce_gf2
-    monkeypatch.setattr(lc, "_reduce_gf2_stack",
-                        lambda *args: calls.append(len(args[0])) or stack_kernel(*args))
-    monkeypatch.setattr(lc, "_reduce_gf2",
+    calls, stack_kernel, list_kernel = [], lc._reduce_planes_stack, lc._reduce_planes
+    monkeypatch.setattr(lc, "_reduce_planes_stack",
+                        lambda *args: calls.append(len(args[1])) or stack_kernel(*args))
+    monkeypatch.setattr(lc, "_reduce_planes",
                         lambda *args: calls.append("list") or list_kernel(*args))
     rng = random.Random(5)
     k, n = 6, 20
@@ -765,7 +708,7 @@ def stronger_bound(ranks, k, w):
 
 
 @pytest.mark.parametrize("field,b,c", [
-    (F2, [1, 1, 0, 0], [0, 1, 1, 1]),  # bit masks
+    (F2, [1, 1, 0, 0], [0, 1, 1, 1]),  # one plane
     (F5, [1, 1, 1, 0], [0, 0, 1, 1]),  # raw codes
     (F3, [1, 1, 0, 0], [0, 1, 1, 1]),  # planes
     (F4, [1, 1, 0, 0], [0, 1, 1, 1]),  # planes
@@ -782,10 +725,10 @@ def test_bz_bound_counts_only_the_new_pivots(monkeypatch, field, b, c):
     assert lc.bz_min_distance(field, [rows], range(4))[0] == 3
 
 
-@pytest.mark.parametrize("field", [F3, F4])
+@pytest.mark.parametrize("field", [F3, F4, F2])
 def test_bz_plane_kernel_takes_its_own_sets(monkeypatch, field):
     # the b, c whose raw codes take the sets (4, 2, 2) over GF(5): the plane
-    # kernel pivots as _reduce_gf2 does, and its second set already holds a
+    # kernel pivots as _reduce_planes does, and its second set already holds a
     # word of weight 2, so no third set is taken and the distance is the same
     b, c = [1, 1, 1, 0], [0, 0, 1, 1]
     rows = [[int(i == j) for j in range(4)] + [b[i], b[i], c[i], c[i]] for i in range(4)]
@@ -868,7 +811,7 @@ def test_bz_engine_at_the_narrow_type_limit(field):
 
 
 @pytest.mark.parametrize("field,b,c", [
-    (F2, [1, 1, 0, 0], [0, 1, 1, 1]),  # bit masks
+    (F2, [1, 1, 0, 0], [0, 1, 1, 1]),  # one plane, stacked reduction
     # GF(3) planes, stacked reduction: rows 2 and 3 have no pivot in the
     # second set and become e0 - e1 + e2, e0 - e1 + e3, so w = 1 sees no weight 2
     (F3, [0, 1, 1, 1], [1, 1, 0, 0]),
